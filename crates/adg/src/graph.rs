@@ -8,7 +8,6 @@ use crate::node::{AdgNode, NodeKind};
 /// property schedule repair (paper §V-A) relies on: a schedule referencing
 /// untouched hardware remains valid across DSE mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -65,7 +64,6 @@ impl std::error::Error for AdgError {}
 
 /// The architecture description graph: a directed graph of [`AdgNode`]s.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Adg {
     pub(crate) slots: Vec<Option<AdgNode>>,
     /// Outgoing adjacency per slot (indices parallel `slots`).

@@ -7,7 +7,6 @@ use overgen_ir::{DataType, FuCap, Op};
 /// per-operand delay FIFOs (paper §VI, limitations §VI-E note the dedicated
 /// execution model).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeNode {
     /// Functional-unit capabilities this PE supports.
     pub caps: BTreeSet<FuCap>,
@@ -44,12 +43,10 @@ impl PeNode {
 /// An operand-routing switch. Its radix (total degree) is a property of the
 /// graph, not the node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SwitchNode {}
 
 /// A synchronization port feeding data *into* the compute fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InPortNode {
     /// Port width in bytes: the maximum ingest rate per cycle.
     pub width_bytes: u16,
@@ -73,7 +70,6 @@ impl InPortNode {
 
 /// A synchronization port draining data *out of* the compute fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OutPortNode {
     /// Port width in bytes: the maximum egest rate per cycle.
     pub width_bytes: u16,
@@ -89,7 +85,6 @@ impl OutPortNode {
 /// DMA stream engine: accesses the shared L2 (and through it DRAM) over the
 /// NoC (§III-B, §VI-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmaNode {
     /// Bytes per cycle the engine can move.
     pub bw_bytes: u16,
@@ -97,7 +92,6 @@ pub struct DmaNode {
 
 /// Scratchpad stream engine: a private, banked on-tile memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpadNode {
     /// Capacity in KiB (double-buffering space included by the compiler).
     pub capacity_kb: u32,
@@ -110,7 +104,6 @@ pub struct SpadNode {
 
 /// Generate engine: produces affine value sequences without memory traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GenNode {
     /// Bytes per cycle of generated values.
     pub bw_bytes: u16,
@@ -119,7 +112,6 @@ pub struct GenNode {
 /// Recurrence engine: forwards loop-carried values from output ports back
 /// to input ports, avoiding memory round trips (§IV-B recurrent reuse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecNode {
     /// Bytes per cycle forwarded.
     pub bw_bytes: u16,
@@ -127,7 +119,6 @@ pub struct RecNode {
 
 /// Register engine: drains scalars from an output port to the control core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegNode {
     /// Bytes per cycle drained.
     pub bw_bytes: u16,
@@ -135,7 +126,6 @@ pub struct RegNode {
 
 /// Any node of the architecture description graph.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AdgNode {
     /// Processing element.
     Pe(PeNode),
@@ -212,7 +202,6 @@ impl AdgNode {
 
 /// Discriminant of [`AdgNode`] without payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// Processing element.
     Pe,

@@ -7,7 +7,6 @@ use crate::{Adg, AdgNode};
 /// Aggregate specification of an accelerator ADG — the per-column content of
 /// the paper's Table III ("Specification of Suite Specific Overlays").
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdgSummary {
     /// Number of processing elements.
     pub pes: usize,

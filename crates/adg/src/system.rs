@@ -3,7 +3,6 @@ use crate::{Adg, AdgError};
 /// System-level design parameters of an overlay (paper §III-B): the part of
 /// the design space the nested *system DSE* explores exhaustively.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemParams {
     /// Number of homogeneous tiles (control core + accelerator each).
     pub tiles: u32,
@@ -53,7 +52,6 @@ impl Default for SystemParams {
 /// "System-level ADG") — one accelerator ADG replicated over `sys.tiles`
 /// homogeneous tiles, plus the shared memory system parameters.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SysAdg {
     /// Per-tile accelerator graph (tiles are homogeneous).
     pub adg: Adg,

@@ -47,9 +47,11 @@ fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-/// DSE worker threads (`--threads N` or env `OVERGEN_DSE_THREADS`).
-/// `0` means one worker per core; the default of 1 runs serially. Results
-/// and traces are identical for any value — this only changes wall-clock.
+/// DSE worker threads (`--threads N` or env `OVERGEN_DSE_THREADS`) for
+/// per-workload scheduling and concurrent chains; the system-DSE sweep is
+/// serial regardless. `0` means one worker per core; the default of 1
+/// runs serially. Results and traces are identical for any value — this
+/// only changes wall-clock.
 pub fn dse_threads() -> usize {
     arg_value("threads")
         .or_else(|| std::env::var("OVERGEN_DSE_THREADS").ok())

@@ -44,9 +44,8 @@ use crate::eval::{EvalPipeline, EvalState, ParetoFront, ParetoPoint};
 use crate::heartbeat::{Heartbeat, HeartbeatConfig};
 use crate::objective::Objective;
 use crate::pool::fan_out;
-use crate::rewrite::{AdgDelta, RuleSet};
+use crate::rewrite::{AdgDelta, RuleSet, TransformCtx};
 use crate::system::SystemDseConfig;
-use crate::transforms::TransformCtx;
 
 /// DSE configuration.
 #[derive(Debug, Clone)]
@@ -75,9 +74,9 @@ pub struct DseConfig {
     /// Mutations applied per proposal.
     pub mutations_per_step: usize,
     /// Worker threads for intra-proposal fan-out (per-workload
-    /// scheduling, system-DSE sweep) and for running chains concurrently.
-    /// `0` = one worker per available core. The result and trace are
-    /// independent of this value.
+    /// scheduling) and for running chains concurrently; the nested
+    /// system-DSE sweep is always serial. `0` = one worker per available
+    /// core. The result and trace are independent of this value.
     pub threads: usize,
     /// Independent annealing chains run as an island model with periodic
     /// best-state exchange. The result depends on `chains` (more chains =

@@ -445,13 +445,12 @@ impl<'a> EvalPipeline<'a> {
             let (result, trace) = capture(overgen_telemetry::current().as_ref(), || {
                 match self.cfg.system.backend {
                     SystemDseBackend::Estimate => {
-                        system_dse(adg, &per, self.model, &self.cfg.system, self.threads)
+                        system_dse(adg, &per, self.model, &self.cfg.system, 1)
                     }
                     SystemDseBackend::Simulate { prune } => {
                         // Simulator-backed scoring needs the full schedule
                         // (stream-to-engine bindings), not just the
-                        // placement. The sweep itself is serial by
-                        // contract, so `threads` is not forwarded.
+                        // placement.
                         let per_sim: Vec<(&Mdfg, &Schedule, f64)> = self
                             .workloads
                             .iter()
@@ -691,7 +690,6 @@ impl<'a> EvalPipeline<'a> {
 /// resource channels, plus — under a placement-aware objective — the
 /// placement quality axes (wirelength, congestion, SLR crossings).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParetoPoint {
     /// Weighted-geomean estimated IPC of the design.
     pub ipc: f64,
@@ -762,7 +760,6 @@ impl ParetoPoint {
 /// LUT/FF/BRAM/DSP ascending — so the frontier is deterministic and
 /// independent of insertion order.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParetoFront {
     points: Vec<ParetoPoint>,
 }

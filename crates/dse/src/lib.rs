@@ -21,8 +21,8 @@
 //! DSE time (Q8).
 //!
 //! The driver is parallel and deterministic: [`DseConfig::threads`] fans
-//! per-workload scheduling and the system-DSE sweep out over
-//! `std::thread::scope` workers, [`DseConfig::chains`] runs independent
+//! per-workload scheduling out over `std::thread::scope` workers (the
+//! system-DSE sweep is cheap enough to stay serial), [`DseConfig::chains`] runs independent
 //! annealing chains with periodic best-state exchange, and an evaluation
 //! cache keyed by [`overgen_adg::Adg::fingerprint`] memoizes repeated
 //! design points. Results and telemetry traces are byte-identical for any
@@ -56,7 +56,6 @@ mod pool;
 mod rewrite;
 mod store;
 mod system;
-mod transforms;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig};
 pub use engine::{Dse, DseConfig, DseError, DseResult, DseStats, StopFlag};
@@ -71,8 +70,8 @@ pub use overgen_model::{
     SimpleGridPlacer,
 };
 pub use rewrite::{
-    infer_footprint, kind_name, AdgDelta, Application, RecordedAdg, Rule, RuleOutcome, RuleSet,
+    capability_pruning, collapse_node, infer_footprint, kind_name, random_mutation, AdgDelta,
+    Application, Mutation, RecordedAdg, Rule, RuleOutcome, RuleSet, TransformCtx,
 };
 pub use store::{EvalStore, StoreError, StoreStats, STORE_MAGIC, STORE_VERSION};
 pub use system::{system_dse, system_dse_sim, SystemDseBackend, SystemDseConfig};
-pub use transforms::{capability_pruning, collapse_node, random_mutation, Mutation, TransformCtx};

@@ -36,7 +36,6 @@ use crate::eval::EvalReport;
 ///
 /// Fitness is `ipc * (1 - lut_penalty * min(lut / lut_scale, 1))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeomeanIpcWeights {
     /// Maximum fitness discount for accelerator LUT pressure. Calibrated
     /// at 5%: large enough that the annealer breaks IPC ties toward the
@@ -71,7 +70,6 @@ impl Default for GeomeanIpcWeights {
 ///
 /// [`PlacementReport`]: overgen_model::PlacementReport
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlacementObjective {
     /// The placer to run on every admitted evaluation.
     pub placer: PlacerKind,
@@ -105,7 +103,6 @@ impl Default for PlacementObjective {
 /// policies. Serialization (checkpoints) is keyed by [`Objective::kind`],
 /// which is stable across releases.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Objective {
     /// Weighted-geomean estimated IPC with mild LUT pressure (the
     /// default; bit-identical to the pre-pipeline engine).

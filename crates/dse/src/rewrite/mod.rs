@@ -30,7 +30,7 @@ mod rules;
 
 use std::sync::OnceLock;
 
-use overgen_adg::Adg;
+use overgen_adg::{Adg, NodeId};
 use overgen_ir::FuCap;
 use overgen_scheduler::{Schedule, ScheduleFootprint};
 use overgen_telemetry::Rng;
@@ -315,11 +315,58 @@ fn inferred_counter(fp: ScheduleFootprint) -> &'static str {
     }
 }
 
-pub(crate) use rules::{capability_pruning_recorded, collapse_recorded};
+/// Apply one random mutation to `adg`, preserving schedules when
+/// `ctx.preserving` (routes in `ctx.schedules` are rewritten in place).
+///
+/// Returns what happened plus the mutation's [`ScheduleFootprint`] — the
+/// worst effect this *particular application* can have on the live
+/// schedules (a removal of provably-unused hardware classifies as
+/// [`ScheduleFootprint::RemoveUnused`] even outside preserving mode). The
+/// footprint travels with the proposal into the evaluation cache key and
+/// the repair engine's trace events; repair never trusts it for
+/// correctness.
+///
+/// Since the rewrite refactor the footprint is *inferred* from the
+/// application's recorded delta rather than hand-classified; the ported
+/// rules infer exactly the legacy classes.
+pub fn random_mutation(
+    adg: &mut Adg,
+    ctx: &mut TransformCtx<'_>,
+    rng: &mut Rng,
+) -> (Mutation, ScheduleFootprint) {
+    let app = RuleSet::legacy().apply_random(adg, ctx, rng, 0);
+    (app.mutation, app.inferred)
+}
+
+/// Node collapsing (§V-B, Figure 7a): delete a routing node and add direct
+/// edges for every schedule route that passed through it, rewriting those
+/// routes. Edge-delay preservation (Figure 7b) bumps the delay-FIFO depth
+/// of destination PEs whose operand paths shortened.
+pub fn collapse_node(adg: &mut Adg, schedules: &mut [Schedule], victim: NodeId) -> Mutation {
+    let mut delta = AdgDelta::new(0);
+    let mut recorded = RecordedAdg::new(adg, &mut delta);
+    rules::collapse_recorded(&mut recorded, schedules, victim)
+}
+
+/// Module-capability pruning (§V-B): drop a capability no mapped schedule
+/// needs. Schedules only record hardware ids, so pruning is restricted to
+/// PEs no schedule touches at all — and proceeds one capability at a time
+/// (one cap of one unused PE per invocation), giving the annealer the
+/// chance to reject harmful prunes instead of devastating the
+/// spare-capacity pool in one step.
+pub fn capability_pruning(adg: &mut Adg, schedules: &[Schedule]) -> Mutation {
+    let mut delta = AdgDelta::new(0);
+    let mut recorded = RecordedAdg::new(adg, &mut delta);
+    rules::capability_pruning_recorded(&mut recorded, schedules)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overgen_adg::{mesh, MeshSpec, NodeKind, SysAdg, SystemParams};
+    use overgen_compiler::{lower, LowerChoices};
+    use overgen_ir::{expr, DataType, FuCap, KernelBuilder, Op, Suite};
+    use overgen_scheduler::schedule;
 
     #[test]
     fn legacy_registry_has_all_fourteen_rules_in_dispatch_order() {
@@ -382,6 +429,117 @@ mod tests {
                 !name.starts_with("remove_"),
                 "benign rule {name} removes hardware"
             );
+        }
+    }
+
+    fn pool() -> Vec<FuCap> {
+        vec![
+            FuCap::new(Op::Add, DataType::I64),
+            FuCap::new(Op::Mul, DataType::I64),
+        ]
+    }
+
+    fn scheduled_setup() -> (overgen_mdfg::Mdfg, SysAdg, Schedule) {
+        let k = KernelBuilder::new("vecadd", Suite::Dsp, DataType::I64)
+            .array_input("a", 64)
+            .array_input("b", 64)
+            .array_output("c", 64)
+            .loop_const("i", 64)
+            .assign(
+                "c",
+                expr::idx("i"),
+                expr::load("a", expr::idx("i")) + expr::load("b", expr::idx("i")),
+            )
+            .build()
+            .unwrap();
+        let mdfg = lower(
+            &k,
+            0,
+            &LowerChoices {
+                unroll: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let sys = SysAdg::new(mesh(&MeshSpec::default()), SystemParams::default());
+        let sched = schedule(&mdfg, &sys, None).unwrap();
+        (mdfg, sys, sched)
+    }
+
+    #[test]
+    fn mutations_keep_graph_valid_often() {
+        let caps = pool();
+        let mut rng = Rng::seed_from_u64(11);
+        let mut adg = mesh(&MeshSpec::default());
+        let mut schedules = Vec::new();
+        let mut ctx = TransformCtx {
+            cap_pool: &caps,
+            schedules: &mut schedules,
+            preserving: false,
+        };
+        for _ in 0..200 {
+            random_mutation(&mut adg, &mut ctx, &mut rng);
+        }
+        // The graph can transiently be invalid (that is what DSE rejection
+        // handles) but must never panic and must keep at least one PE.
+        assert!(adg.count_kind(NodeKind::Pe) >= 1);
+    }
+
+    #[test]
+    fn collapse_rewrites_routes_and_preserves_validity() {
+        let (mdfg, mut sys, sched) = scheduled_setup();
+        // Find a switch used by some route interior.
+        let mut victim = None;
+        for path in sched.routes.values() {
+            for n in &path[1..path.len().saturating_sub(1)] {
+                if sys.adg.kind(*n) == Some(NodeKind::Switch) {
+                    victim = Some(*n);
+                    break;
+                }
+            }
+        }
+        let Some(victim) = victim else {
+            // All routes are adjacent; nothing to collapse.
+            return;
+        };
+        let mut schedules = vec![sched];
+        collapse_node(&mut sys.adg, &mut schedules, victim);
+        // victim gone, routes no longer reference it, links exist.
+        assert!(!sys.adg.contains(victim));
+        for path in schedules[0].routes.values() {
+            assert!(!path.contains(&victim));
+            for w in path.windows(2) {
+                assert!(sys.adg.has_edge(w[0], w[1]), "bridge edge missing");
+            }
+        }
+        // The schedule must still be repairable as-is (intact fast path).
+        let (re, outcome) = overgen_scheduler::repair(&schedules[0], &mdfg, &sys).unwrap();
+        assert_eq!(outcome, overgen_scheduler::RepairOutcome::Intact);
+        let _ = re;
+    }
+
+    #[test]
+    fn capability_pruning_shrinks_unused_pes_only() {
+        let (_mdfg, mut sys, sched) = scheduled_setup();
+        let used = sched.used_adg_nodes();
+        let before: usize = sys
+            .adg
+            .nodes()
+            .filter_map(|(_, n)| n.as_pe().map(|p| p.caps.len()))
+            .sum();
+        capability_pruning(&mut sys.adg, std::slice::from_ref(&sched));
+        let after: usize = sys
+            .adg
+            .nodes()
+            .filter_map(|(_, n)| n.as_pe().map(|p| p.caps.len()))
+            .sum();
+        assert!(after < before, "pruning had no effect");
+        // used PEs untouched
+        for pe in sys.adg.nodes_of_kind(NodeKind::Pe) {
+            if used.contains(&pe) {
+                let n = sys.adg.node(pe).unwrap().as_pe().unwrap();
+                assert_eq!(n.caps.len(), 3, "used PE was pruned");
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The 14 legacy ADG mutations, ported onto the [`Rule`] trait.
 //!
-//! Each rule body is the legacy `transforms.rs` function with reads going
+//! Each rule body is the legacy hand-rolled mutation function with reads going
 //! through [`RecordedAdg::graph`] and writes through the recording
 //! wrappers, so its delta — and therefore its inferred footprint — falls
 //! out mechanically. **The RNG draw sequence of every rule is

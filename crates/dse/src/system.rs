@@ -9,9 +9,7 @@ use overgen_model::resources::FpgaDevice;
 use overgen_model::{breakdown, estimate_ipc, weighted_geomean_ipc, Placement, ResourceModel};
 use overgen_scheduler::Schedule;
 use overgen_sim::{SimBatch, SimConfig};
-use overgen_telemetry::{event, span};
-
-use crate::pool::fan_out;
+use overgen_telemetry::{profile, span, FieldValue, Phase};
 
 /// How the nested system DSE scores a feasible grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,104 +66,37 @@ impl Default for SystemDseConfig {
     }
 }
 
-/// One tile-count slice of the sweep: every (banks, kb, noc) combination
-/// scored in grid order, plus the slice's candidate/over-budget tallies.
-struct TileSlice {
-    scored: Vec<(SystemParams, f64)>,
-    candidates: u64,
-    over_budget: u64,
-}
-
 /// Exhaustively choose the best system parameters for an accelerator ADG
 /// given the best-scheduled mDFG (plus its scratchpad placement) per
-/// workload. Returns `None` when not even a single tile fits the budget.
+/// workload, scoring each feasible grid point with the closed-form
+/// `overgen_model::estimate_ipc`. Returns `None` when not even a single
+/// tile fits the budget.
 ///
-/// With `threads > 1` the per-tile-count slices of the sweep are scored on
-/// a scoped worker pool; the winner is still selected by folding every
-/// candidate in the canonical serial order, so the choice (including the
-/// order-dependent near-tie handling below) is identical for any thread
-/// count.
+/// The sweep is serial: one walk over a single `SysAdg` measured faster
+/// in `bench_dse` than the old per-tile-count thread fan-out at 1 and 2
+/// threads. `_threads` is kept for API stability and ignored.
 pub fn system_dse(
     adg: &Adg,
     per_workload: &[(&Mdfg, &Placement, f64)], // (mdfg, placement, weight)
     model: &dyn ResourceModel,
     cfg: &SystemDseConfig,
-    threads: usize,
+    _threads: usize,
 ) -> Option<(SystemParams, f64)> {
     let _span = span!("dse.system", max_tiles = cfg.max_tiles);
     let spad_bw: f64 = adg
         .nodes()
         .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
         .sum();
-
-    let slices = fan_out(threads, (1..=cfg.max_tiles).collect(), |tiles| {
-        let mut slice = TileSlice {
-            scored: Vec::new(),
-            candidates: 0,
-            over_budget: 0,
-        };
-        for &l2_banks in &cfg.l2_banks_grid {
-            for &l2_kb in &cfg.l2_kb_grid {
-                for &noc_bw in &cfg.noc_bw_grid {
-                    let sys = SystemParams {
-                        tiles,
-                        l2_banks,
-                        l2_kb,
-                        noc_bw_bytes: noc_bw,
-                        dram_channels: cfg.dram_channels,
-                    };
-                    slice.candidates += 1;
-                    let sys_adg = SysAdg::new(adg.clone(), sys);
-                    let used = breakdown(&sys_adg, model).total();
-                    if !cfg.device.fits(&used, cfg.util_cap) {
-                        slice.over_budget += 1;
-                        continue;
-                    }
-                    let ipcs: Vec<(f64, f64)> = per_workload
-                        .iter()
-                        .map(|(m, p, w)| (estimate_ipc(m, &sys, spad_bw, p).ipc, *w))
-                        .collect();
-                    slice.scored.push((sys, weighted_geomean_ipc(&ipcs)));
-                }
-            }
+    let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(per_workload.len());
+    let walk = walk_grid(adg, model, cfg, |sys, _| {
+        ipcs.clear();
+        for (m, p, w) in per_workload {
+            ipcs.push((estimate_ipc(m, sys, spad_bw, p).ipc, *w));
         }
-        slice
+        Some(weighted_geomean_ipc(&ipcs))
     });
-
-    let mut candidates = 0u64;
-    let mut over_budget = 0u64;
-    let mut best: Option<(SystemParams, f64)> = None;
-    // Fold in ascending-tile (= serial sweep) order: the near-tie rule
-    // below depends on which candidate is seen first, so the fold order is
-    // part of the function's contract.
-    for slice in slices {
-        candidates += slice.candidates;
-        over_budget += slice.over_budget;
-        for (sys, score) in slice.scored {
-            if beats(&best, &sys, score) {
-                best = Some((sys, score));
-            }
-        }
-    }
-    match &best {
-        Some((sys, score)) => event!(
-            "dse.system",
-            candidates = candidates,
-            over_budget = over_budget,
-            tiles = sys.tiles,
-            l2_banks = sys.l2_banks,
-            l2_kb = sys.l2_kb,
-            noc_bw = sys.noc_bw_bytes,
-            score = *score,
-        ),
-        None => event!(
-            "dse.system",
-            candidates = candidates,
-            over_budget = over_budget,
-            feasible = false,
-        ),
-    }
-    best
+    emit_winner(&walk, &[]);
+    walk.best
 }
 
 /// The canonical selection predicate: prefer strictly better scores; on
@@ -192,8 +123,9 @@ fn upper_bound_can_win(best: &Option<(SystemParams, f64)>, sys: &SystemParams, u
     beats(best, sys, u)
 }
 
-/// Statistics from one simulator-backed sweep.
-struct SimSweep {
+/// The winner and tallies of one grid walk.
+#[derive(Default)]
+struct Walk {
     best: Option<(SystemParams, f64)>,
     candidates: u64,
     over_budget: u64,
@@ -201,39 +133,20 @@ struct SimSweep {
     admitted: u64,
 }
 
-/// Sum of sibling-reuse cache hits across a sweep's batches.
-fn reuse_hits(batches: &[SimBatch]) -> u64 {
-    batches.iter().map(SimBatch::cache_hits).sum()
-}
-
-/// Walk the grid in canonical order, scoring feasible points with warm
-/// [`SimBatch`] runs behind the sibling-reuse cache. With `prune`, each
-/// candidate's analytic score upper bound is tested against the *same
-/// incumbent the exhaustive fold would hold at that position*; a
-/// candidate is skipped only when the selection predicate provably
-/// rejects it (see DESIGN.md §12), so the incumbent evolves identically
-/// with pruning on or off. `shadow` suppresses the profiler phase timers
-/// and bypasses the reuse cache (plain [`SimBatch::run`]), so the
-/// oracle's duplicate sweep differentially checks pruning *and* reuse.
-fn sweep_sim(
+/// The one system-DSE grid walk: tiles → L2 banks → L2 KiB → NoC, in
+/// canonical order, folding feasible points through [`beats`]. `score`
+/// sees each feasible point together with the incumbent the fold holds at
+/// that position and returns `None` to prune the point. The walk itself
+/// emits no telemetry.
+fn walk_grid(
     adg: &Adg,
-    batches: &mut [SimBatch],
-    weights: &[f64],
     model: &dyn ResourceModel,
     cfg: &SystemDseConfig,
-    prune: bool,
-    shadow: bool,
-) -> SimSweep {
-    let mut sweep = SimSweep {
-        best: None,
-        candidates: 0,
-        over_budget: 0,
-        pruned: 0,
-        admitted: 0,
-    };
-    let mut scores: Vec<(f64, f64)> = Vec::with_capacity(batches.len());
-    // One SysAdg for the whole sweep: the feasibility breakdown reads the
-    // (immutable) per-tile graph plus the grid point, so the sweep mutates
+    mut score: impl FnMut(&SystemParams, &Option<(SystemParams, f64)>) -> Option<f64>,
+) -> Walk {
+    let mut walk = Walk::default();
+    // One SysAdg for the whole walk: the feasibility breakdown reads the
+    // (immutable) per-tile graph plus the grid point, so the walk mutates
     // `sys` in place instead of cloning the ADG per point.
     let mut sys_adg = SysAdg::new(adg.clone(), SystemParams::default());
     for tiles in 1..=cfg.max_tiles {
@@ -247,67 +160,101 @@ fn sweep_sim(
                         noc_bw_bytes: noc_bw,
                         dram_channels: cfg.dram_channels,
                     };
-                    sweep.candidates += 1;
+                    walk.candidates += 1;
                     sys_adg.sys = sys;
                     let used = breakdown(&sys_adg, model).total();
                     if !cfg.device.fits(&used, cfg.util_cap) {
-                        sweep.over_budget += 1;
+                        walk.over_budget += 1;
                         continue;
                     }
-                    if prune {
-                        let _t = if shadow {
-                            None
-                        } else {
-                            overgen_telemetry::profile::maybe_phase(
-                                overgen_telemetry::Phase::Analytic,
-                                overgen_telemetry::profile::NO_CLASS,
-                            )
-                        };
-                        scores.clear();
-                        for (batch, &w) in batches.iter().zip(weights) {
-                            scores.push((batch.bound(&sys).ipc_upper, w));
-                        }
-                        let upper = weighted_geomean_ipc(&scores);
-                        if !upper_bound_can_win(&sweep.best, &sys, upper) {
-                            sweep.pruned += 1;
-                            continue;
-                        }
-                    }
-                    sweep.admitted += 1;
-                    let _t = if shadow {
-                        None
-                    } else {
-                        overgen_telemetry::profile::maybe_phase(
-                            overgen_telemetry::Phase::Simulate,
-                            overgen_telemetry::profile::NO_CLASS,
-                        )
+                    let Some(s) = score(&sys, &walk.best) else {
+                        walk.pruned += 1;
+                        continue;
                     };
-                    scores.clear();
-                    for (batch, &w) in batches.iter_mut().zip(weights) {
-                        let r = if shadow {
-                            batch.run(&sys)
-                        } else {
-                            batch.run_cached(&sys)
-                        };
-                        scores.push((r.ipc, w));
-                    }
-                    let score = weighted_geomean_ipc(&scores);
-                    if beats(&sweep.best, &sys, score) {
-                        sweep.best = Some((sys, score));
+                    walk.admitted += 1;
+                    if beats(&walk.best, &sys, s) {
+                        walk.best = Some((sys, s));
                     }
                 }
             }
         }
     }
-    sweep
+    walk
 }
 
-/// Whether `OVERGEN_SIM_ORACLE` asks for the differential shadow sweep.
-fn oracle_enabled() -> bool {
-    matches!(
-        std::env::var("OVERGEN_SIM_ORACLE").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
+/// Emit the `dse.system` summary event: the walk tallies, the backend's
+/// own fields, then the winner (or `feasible = false`).
+fn emit_winner(walk: &Walk, backend_fields: &[(&str, FieldValue)]) {
+    let Some(c) = overgen_telemetry::current() else {
+        return;
+    };
+    let mut fields = vec![
+        ("candidates", walk.candidates.into()),
+        ("over_budget", walk.over_budget.into()),
+    ];
+    fields.extend_from_slice(backend_fields);
+    match &walk.best {
+        Some((sys, score)) => fields.extend([
+            ("tiles", sys.tiles.into()),
+            ("l2_banks", sys.l2_banks.into()),
+            ("l2_kb", sys.l2_kb.into()),
+            ("noc_bw", sys.noc_bw_bytes.into()),
+            ("score", (*score).into()),
+        ]),
+        None => fields.push(("feasible", false.into())),
+    }
+    c.emit("dse.system", &fields);
+}
+
+/// Walk the grid scoring feasible points with warm [`SimBatch`] runs
+/// behind the sibling-reuse cache. With `prune`, each candidate's
+/// analytic score upper bound is tested against the *same incumbent the
+/// exhaustive fold would hold at that position*; a candidate is skipped
+/// only when the selection predicate provably rejects it (see DESIGN.md
+/// §12), so the incumbent evolves identically with pruning on or off.
+/// `shadow` suppresses the profiler phase timers and bypasses the reuse
+/// cache (plain [`SimBatch::run`]), so the debug-build oracle's duplicate
+/// walk differentially checks pruning *and* reuse.
+fn walk_sim(
+    adg: &Adg,
+    batches: &mut [SimBatch],
+    weights: &[f64],
+    model: &dyn ResourceModel,
+    cfg: &SystemDseConfig,
+    prune: bool,
+    shadow: bool,
+) -> Walk {
+    let phase = |p: Phase| {
+        if shadow {
+            None
+        } else {
+            profile::maybe_phase(p, profile::NO_CLASS)
+        }
+    };
+    let mut scores: Vec<(f64, f64)> = Vec::with_capacity(batches.len());
+    walk_grid(adg, model, cfg, |sys, best| {
+        if prune {
+            let _t = phase(Phase::Analytic);
+            scores.clear();
+            for (batch, &w) in batches.iter().zip(weights) {
+                scores.push((batch.bound(sys).ipc_upper, w));
+            }
+            if !upper_bound_can_win(best, sys, weighted_geomean_ipc(&scores)) {
+                return None;
+            }
+        }
+        let _t = phase(Phase::Simulate);
+        scores.clear();
+        for (batch, &w) in batches.iter_mut().zip(weights) {
+            let r = if shadow {
+                batch.run(sys)
+            } else {
+                batch.run_cached(sys)
+            };
+            scores.push((r.ipc, w));
+        }
+        Some(weighted_geomean_ipc(&scores))
+    })
 }
 
 /// Simulator-backed system DSE: choose the best system parameters for an
@@ -318,14 +265,10 @@ fn oracle_enabled() -> bool {
 /// provably without changing the winner. Returns `None` when not even a
 /// single tile fits the budget.
 ///
-/// The sweep is fully serial: the selection rule is order-dependent and
-/// the pruned/admitted tallies must be invariant in the caller's thread
-/// count.
-///
-/// With `OVERGEN_SIM_ORACLE=1`, a silent exhaustive shadow sweep runs
-/// beside the pruned one and the function panics if the winners (params
-/// or exact score bits) diverge — the differential oracle the sim test
-/// harness drives across all workloads.
+/// Debug builds also run a silent exhaustive shadow walk (no pruning, no
+/// reuse cache) and panic if the winners (params or exact score bits)
+/// diverge — the differential oracle every `cargo test` arms. Release
+/// builds skip it.
 pub fn system_dse_sim(
     adg: &Adg,
     per_workload: &[(&Mdfg, &Schedule, f64)], // (mdfg, schedule, weight)
@@ -340,58 +283,34 @@ pub fn system_dse_sim(
         .map(|(m, s, _)| SimBatch::new(m, s, adg, sim_cfg))
         .collect();
     let weights: Vec<f64> = per_workload.iter().map(|(_, _, w)| *w).collect();
-    let sweep = sweep_sim(adg, &mut batches, &weights, model, cfg, prune, false);
-    if oracle_enabled() {
-        let shadow = sweep_sim(adg, &mut batches, &weights, model, cfg, false, true);
-        let agree = match (&sweep.best, &shadow.best) {
-            (None, None) => true,
-            (Some((s_a, v_a)), Some((s_b, v_b))) => s_a == s_b && v_a.to_bits() == v_b.to_bits(),
-            _ => false,
-        };
-        assert!(
-            agree,
-            "sim oracle: pruned winner {:?} != exhaustive winner {:?} \
-             (pruned {} of {} candidates)",
-            sweep.best, shadow.best, sweep.pruned, sweep.candidates,
+    let walk = walk_sim(adg, &mut batches, &weights, model, cfg, prune, false);
+    let reused: u64 = batches.iter().map(SimBatch::cache_hits).sum();
+    if cfg!(debug_assertions) {
+        let shadow = walk_sim(adg, &mut batches, &weights, model, cfg, false, true);
+        let bits = |w: &Walk| w.best.map(|(sys, score)| (sys, score.to_bits()));
+        assert_eq!(
+            bits(&walk),
+            bits(&shadow),
+            "sim oracle: pruned winner != exhaustive winner (pruned {} of {} candidates)",
+            walk.pruned,
+            walk.candidates,
         );
     }
-    // Sibling-reuse hits accumulated by the pruned sweep's batches (the
-    // shadow sweep bypasses the cache, so the tally is oracle-invariant).
-    let reused = reuse_hits(&batches);
     if let Some(c) = overgen_telemetry::current() {
-        c.registry()
-            .counter("sim.analytic.pruned")
-            .add(sweep.pruned);
-        c.registry()
-            .counter("sim.analytic.admitted")
-            .add(sweep.admitted);
-        c.registry().counter("sim.batch.reuse").add(reused);
+        let reg = c.registry();
+        reg.counter("sim.analytic.pruned").add(walk.pruned);
+        reg.counter("sim.analytic.admitted").add(walk.admitted);
+        reg.counter("sim.batch.reuse").add(reused);
     }
-    match &sweep.best {
-        Some((sys, score)) => event!(
-            "dse.system",
-            candidates = sweep.candidates,
-            over_budget = sweep.over_budget,
-            pruned = sweep.pruned,
-            admitted = sweep.admitted,
-            reused = reused,
-            tiles = sys.tiles,
-            l2_banks = sys.l2_banks,
-            l2_kb = sys.l2_kb,
-            noc_bw = sys.noc_bw_bytes,
-            score = *score,
-        ),
-        None => event!(
-            "dse.system",
-            candidates = sweep.candidates,
-            over_budget = sweep.over_budget,
-            pruned = sweep.pruned,
-            admitted = sweep.admitted,
-            reused = reused,
-            feasible = false,
-        ),
-    }
-    sweep.best
+    emit_winner(
+        &walk,
+        &[
+            ("pruned", walk.pruned.into()),
+            ("admitted", walk.admitted.into()),
+            ("reused", reused.into()),
+        ],
+    );
+    walk.best
 }
 
 #[cfg(test)]
@@ -509,13 +428,9 @@ mod tests {
         assert!(score < one_tile * 4.0, "score {score} vs 1-tile {one_tile}");
     }
 
-    #[test]
-    fn none_when_budget_too_small() {
-        let adg = mesh(&MeshSpec::general());
-        let m = mdfg(1024, 1);
-        let placement = Placement::default();
-        let per = vec![(&m, &placement, 1.0)];
-        let tiny_device = FpgaDevice {
+    /// A device too small for even one tile of the general mesh.
+    fn tiny_device() -> FpgaDevice {
+        FpgaDevice {
             name: "tiny",
             total: overgen_model::Resources {
                 lut: 10_000.0,
@@ -523,26 +438,20 @@ mod tests {
                 bram: 50.0,
                 dsp: 100.0,
             },
-        };
-        let cfg = SystemDseConfig {
-            device: tiny_device,
-            ..Default::default()
-        };
-        assert!(system_dse(&adg, &per, &AnalyticModel, &cfg, 1).is_none());
+        }
     }
 
     #[test]
-    fn threaded_sweep_matches_serial() {
-        let adg = mesh(&MeshSpec::default());
-        let m = fir_mdfg(2);
-        let placement = Placement::from_prefs(&m);
+    fn none_when_budget_too_small() {
+        let adg = mesh(&MeshSpec::general());
+        let m = mdfg(1024, 1);
+        let placement = Placement::default();
         let per = vec![(&m, &placement, 1.0)];
-        let cfg = SystemDseConfig::default();
-        let serial = system_dse(&adg, &per, &AnalyticModel, &cfg, 1);
-        for threads in [2, 4, 7] {
-            let par = system_dse(&adg, &per, &AnalyticModel, &cfg, threads);
-            assert_eq!(serial, par, "threads={threads}");
-        }
+        let cfg = SystemDseConfig {
+            device: tiny_device(),
+            ..Default::default()
+        };
+        assert!(system_dse(&adg, &per, &AnalyticModel, &cfg, 1).is_none());
     }
 
     fn sched_for(adg: &Adg, m: &Mdfg) -> Schedule {
@@ -582,17 +491,8 @@ mod tests {
         let m = mdfg(1024, 1);
         let s = sched_for(&adg, &m);
         let per = vec![(&m, &s, 1.0)];
-        let tiny_device = FpgaDevice {
-            name: "tiny",
-            total: overgen_model::Resources {
-                lut: 10_000.0,
-                ff: 20_000.0,
-                bram: 50.0,
-                dsp: 100.0,
-            },
-        };
         let cfg = SystemDseConfig {
-            device: tiny_device,
+            device: tiny_device(),
             ..small_cfg()
         };
         let sim_cfg = overgen_sim::SimConfig::default();
@@ -601,19 +501,45 @@ mod tests {
 
     #[test]
     fn sim_backend_oracle_mode_agrees() {
-        // With the oracle env set, the pruned sweep self-checks against a
-        // shadow exhaustive sweep and panics on divergence; surviving the
-        // call IS the assertion.
+        // In debug builds the pruned walk self-checks against a shadow
+        // exhaustive walk and panics on divergence; surviving the call IS
+        // the assertion.
         let adg = mesh(&MeshSpec::default());
         let m = fir_mdfg(2);
         let s = sched_for(&adg, &m);
         let per = vec![(&m, &s, 1.0)];
         let cfg = small_cfg();
         let sim_cfg = overgen_sim::SimConfig::default();
-        std::env::set_var("OVERGEN_SIM_ORACLE", "1");
         let got = system_dse_sim(&adg, &per, &AnalyticModel, &cfg, &sim_cfg, true);
-        std::env::remove_var("OVERGEN_SIM_ORACLE");
         assert!(got.is_some());
+    }
+
+    #[test]
+    fn shadow_walk_is_telemetry_silent() {
+        // The oracle's shadow walk must record no events and touch no
+        // counters, so arming it can never perturb a trace.
+        let adg = mesh(&MeshSpec::default());
+        let m = fir_mdfg(2);
+        let s = sched_for(&adg, &m);
+        let mut batches = vec![SimBatch::new(&m, &s, &adg, &SimConfig::default())];
+        let (collector, ring) = overgen_telemetry::Collector::ring(64);
+        let empty = overgen_telemetry::Collector::ring(1).0;
+        let _install = overgen_telemetry::install(collector.clone());
+        let shadow = walk_sim(
+            &adg,
+            &mut batches,
+            &[1.0],
+            &AnalyticModel,
+            &small_cfg(),
+            false,
+            true,
+        );
+        assert!(shadow.best.is_some());
+        assert!(ring.is_empty(), "shadow walk emitted {:?}", ring.lines());
+        assert_eq!(
+            collector.registry().snapshot_json(),
+            empty.registry().snapshot_json()
+        );
     }
 
     #[test]

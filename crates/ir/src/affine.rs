@@ -18,7 +18,6 @@ use std::ops::{Add, Mul};
 /// assert!(!e.involves("k"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AffineExpr {
     terms: BTreeMap<String, i64>,
     constant: i64,

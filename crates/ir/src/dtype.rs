@@ -13,7 +13,6 @@ use std::fmt;
 /// assert!(DataType::F64.is_float());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataType {
     /// 8-bit integer.
     I8,

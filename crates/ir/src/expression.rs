@@ -5,7 +5,6 @@ use crate::{AffineExpr, Op};
 
 /// How an array is indexed.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IndexExpr {
     /// Affine function of loop variables: the common case.
     Affine(AffineExpr),
@@ -54,7 +53,6 @@ impl fmt::Display for IndexExpr {
 
 /// A reference to one element of a declared array.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayRef {
     /// Name of the referenced array.
     pub array: String,
@@ -104,7 +102,6 @@ impl fmt::Display for ArrayRef {
 /// assert_eq!(e.count_loads(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// Load one element from an array.
     Load(ArrayRef),

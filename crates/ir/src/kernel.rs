@@ -5,7 +5,6 @@ use crate::{AffineExpr, ArrayRef, DataType, IndexExpr, Loop, LoopNest, Op, Stmt,
 
 /// Which benchmark suite a kernel belongs to (paper Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Suite {
     /// Digital signal processing kernels (from REVEL).
     Dsp,
@@ -33,7 +32,6 @@ impl fmt::Display for Suite {
 
 /// Role of an array in the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrayKind {
     /// Read-only input.
     Input,
@@ -45,7 +43,6 @@ pub enum ArrayKind {
 
 /// A declared array with its element count and type.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayDecl {
     /// Name referenced by [`ArrayRef`]s.
     pub name: String,
@@ -66,7 +63,6 @@ impl ArrayDecl {
 
 /// The `#pragma dsa` annotations of a kernel region (paper §II-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pragmas {
     /// `#pragma dsa config`: the region shares one spatial configuration.
     pub config: bool,
@@ -86,7 +82,6 @@ impl Default for Pragmas {
 
 /// Kernel-tuning status, used by the Q2 study (Figure 14, Table IV).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tuning {
     /// Whether this is the manually tuned variant of the kernel.
     pub tuned: bool,
@@ -100,7 +95,6 @@ pub struct Tuning {
 /// These are *derived* from the IR by [`Kernel::traits`]; tests assert they
 /// match the paper's Table IV causes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelTraits {
     /// Any loop has a data-dependent trip count (Table IV "Var. Loop TC").
     pub variable_trip_count: bool,
@@ -127,7 +121,6 @@ pub struct KernelTraits {
 /// A complete kernel: the unit of compilation and the row granularity of
 /// every evaluation table.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Kernel {
     name: String,
     suite: Suite,

@@ -6,7 +6,6 @@ use std::fmt;
 /// from REVEL), while HLS pipelines suffer initiation-interval penalties on
 /// them — the distinction drives Table IV and the kernel-tuning study (Q2).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TripCount {
     /// Compile-time constant trip count.
     Const(u64),
@@ -54,7 +53,6 @@ impl fmt::Display for TripCount {
 
 /// One loop of a nest.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Loop {
     /// Induction variable name, unique within the nest.
     pub var: String,
@@ -78,7 +76,6 @@ impl Loop {
 /// (paper §II-B); imperfect nests are expressed by hoisting outer-loop work
 /// into guarded statements, matching how the paper's kernels are written.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoopNest {
     loops: Vec<Loop>,
 }

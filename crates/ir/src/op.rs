@@ -8,7 +8,6 @@ use crate::DataType;
 /// integer and float add/mul/div plus square root; the Vision kernels also
 /// use min/max, shifts, and absolute difference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// Addition (also used for subtraction hardware-wise).
     Add,
@@ -124,7 +123,6 @@ impl fmt::Display for Op {
 /// Cost class of an operation: determines functional-unit area and whether
 /// the FPGA mapping uses DSP blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OpClass {
     /// Adders, comparators, min/max: cheap LUT logic.
     AddLike,
@@ -142,7 +140,6 @@ pub enum OpClass {
 /// can be mapped to it; the DSE adds and prunes capabilities
 /// (module-capability pruning, paper §V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FuCap {
     /// Operation implemented.
     pub op: Op,

@@ -10,7 +10,6 @@ use crate::{AffineExpr, ArrayRef, Expr};
 /// pattern the paper maps onto the recurrence stream engine when the live
 /// set fits on chip (recurrent reuse, §IV-B).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stmt {
     /// Destination element.
     pub dst: ArrayRef,

@@ -6,7 +6,6 @@ use crate::node::{MdfgNode, MdfgNodeKind};
 
 /// Stable identifier of an mDFG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MdfgNodeId(u32);
 
 impl MdfgNodeId {
@@ -73,7 +72,6 @@ fn may_connect(src: MdfgNodeKind, dst: MdfgNodeKind) -> bool {
 /// A memory-enhanced dataflow graph: one compiled variant of one kernel
 /// region.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mdfg {
     /// Kernel this mDFG was compiled from.
     name: String,

@@ -7,7 +7,6 @@ use crate::ReuseInfo;
 /// Placement preference of an array node, decided by the compiler's reuse
 /// analysis and honoured (best effort) by the spatial scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemPref {
     /// High scratchpad benefit: prefer an on-tile scratchpad.
     PreferSpad,
@@ -19,7 +18,6 @@ pub enum MemPref {
 
 /// An array (data structure) node: the paper's §IV extension to the DFG.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayNode {
     /// Array name (matches the kernel IR declaration).
     pub name: String,
@@ -44,7 +42,6 @@ impl ArrayNode {
 /// Coarse classification of a stream's access pattern, deciding which
 /// stream-engine features it needs (§VI-C: 1D/2D/3D x affine/indirect).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StreamPattern {
     /// Unit-stride (or coalescible) affine.
     Linear,
@@ -56,7 +53,6 @@ pub enum StreamPattern {
 
 /// A memory/value stream node: one side of a port binding.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamNode {
     /// Array the stream reads or writes (empty for generate streams).
     pub array: String,
@@ -129,7 +125,6 @@ impl StreamNode {
 /// one instruction when the datatype is narrower than the 64-bit PE
 /// datapath; an `InstNode` therefore processes `lanes` elements per firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InstNode {
     /// Operation.
     pub op: Op,
@@ -148,7 +143,6 @@ impl InstNode {
 
 /// Any node of the memory-enhanced dataflow graph.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MdfgNode {
     /// Compute instruction.
     Inst(InstNode),
@@ -198,7 +192,6 @@ impl MdfgNode {
 
 /// Discriminant of [`MdfgNode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MdfgNodeKind {
     /// Compute instruction.
     Inst,

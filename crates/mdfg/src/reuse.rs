@@ -2,7 +2,6 @@
 /// a window of data that can live in the datapath + port FIFOs instead of
 /// memory (paper §IV-B, the `c[io*32+ii]` example).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecurrenceInfo {
     /// Number of concurrent live instances (the paper's "32 concurrent
     /// instances" touched by `ii`).
@@ -18,7 +17,6 @@ pub struct RecurrenceInfo {
 /// pressure on a memory level is its raw bandwidth divided by the reuse
 /// captured *above* that level (§IV-B, §V-C).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReuseInfo {
     /// Total bytes the stream would move without any reuse capture: the
     /// product of all loop trip counts times element size ("Traf." in

@@ -10,7 +10,6 @@ use overgen_telemetry::Rng;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainConfig {
     /// Number of passes over the training split.
     pub epochs: usize,
@@ -35,7 +34,6 @@ impl Default for TrainConfig {
 
 /// Report of a training run (relative errors are mean |err|/mean(|y|)).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainReport {
     /// Relative error on the training split.
     pub train_rel_err: f64,
@@ -49,7 +47,6 @@ pub struct TrainReport {
 
 /// A dense 3-layer MLP: `in -> h1 (ReLU) -> h2 (ReLU) -> out (linear)`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mlp {
     sizes: [usize; 4],
     // weights\[l\] has shape (sizes\[l+1\], sizes\[l\]), row major.

@@ -13,7 +13,6 @@ use overgen_mdfg::{Mdfg, MdfgNode, MemPref};
 
 /// A memory-hierarchy level (L1 = scratchpad, L2 = shared cache, L3 = DRAM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Level {
     /// On-tile scratchpads.
     Spad,
@@ -60,7 +59,6 @@ impl Placement {
 
 /// Result of a performance estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfEstimate {
     /// Whole-FPGA estimated IPC (Equation 1).
     pub ipc: f64,

@@ -31,7 +31,6 @@ use crate::resources::{fmax_curve, FpgaDevice, Resources, FMAX_FLOOR_MHZ, XCVU9P
 /// rows bottom-to-top (row 0 is the bottom of SLR 0), matching Xilinx
 /// `CLOCKREGION_X#Y#` coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridCell {
     /// Clock-region column (`X` coordinate).
     pub col: u32,
@@ -52,7 +51,6 @@ impl GridCell {
 /// close: its columns differ, but tile-granularity placement does not
 /// resolve below a region anyway).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockRegionGrid {
     /// The device whose total resources the regions partition.
     pub device: FpgaDevice,
@@ -122,7 +120,6 @@ const SLR_CROSSING_MHZ: f64 = 1.0;
 /// Outcome of placing one overlay configuration: the tile anchors plus the
 /// three quality axes the DSE can trade against IPC and area.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlacementReport {
     /// Anchor cell of each tile, in tile-id order (tile `i` is
     /// `cells[i]`).
@@ -163,7 +160,6 @@ impl PlacementReport {
 /// The placement quality axes, as a `Copy` value for Pareto points and
 /// checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlacementMetrics {
     /// Total NoC wirelength in clock-region hops.
     pub wirelength: f64,
@@ -283,7 +279,6 @@ impl Placer for SimpleGridPlacer {
 /// checkpoints carry; [`Placer`] stays open for unregistered
 /// implementations in library use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlacerKind {
     /// [`SimpleGridPlacer`].
     SimpleGrid,

@@ -6,7 +6,6 @@ use std::ops::{Add, AddAssign, Mul};
 /// An FPGA resource vector: the four resources the paper's DSE balances
 /// (§II-C "ASIC Focused" limitation; Figure 16).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Resources {
     /// Lookup tables.
     pub lut: f64,
@@ -108,7 +107,6 @@ impl fmt::Display for Resources {
 
 /// Fractional utilization of each resource on a device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Utilization {
     /// LUT fraction used.
     pub lut: f64,
@@ -143,7 +141,6 @@ impl Utilization {
 
 /// An FPGA device descriptor: the resource budget the DSE fills.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FpgaDevice {
     /// Device name.
     pub name: &'static str,
@@ -230,7 +227,6 @@ pub fn fmax_curve(u: f64) -> f64 {
 ///   over all four channels. This keeps the annealer from camping on the
 ///   budget boundary where one more mutation flips to infeasible.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceBudget {
     /// Budget name (stable across serialization, like [`FpgaDevice`]).
     pub name: &'static str,
@@ -341,7 +337,6 @@ impl DeviceBudget {
 /// Resource breakdown by overlay component group — the stacked bars of
 /// Figure 16 (pe / n/w / vp / spad / dma / core / noc).
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceBreakdown {
     /// Processing elements.
     pub pe: Resources,

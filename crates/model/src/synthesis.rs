@@ -23,7 +23,6 @@ use crate::resources::Resources;
 
 /// Component classes with a learned model (paper Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComponentKind {
     /// Processing element.
     Pe,
@@ -73,7 +72,6 @@ pub const NUM_FEATURES: usize = 10;
 
 /// A featurized component: input to both the oracle and the MLP.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentFeatures {
     /// Component class.
     pub kind: ComponentKind,
@@ -165,7 +163,6 @@ pub fn features_of(adg: &Adg, id: NodeId) -> Option<ComponentFeatures> {
 
 /// Result of one OOC synthesis run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SynthesisRun {
     /// Post-synthesis (pre-PnR, pessimistic) resources.
     pub resources: Resources,

@@ -11,7 +11,6 @@ use crate::resources::{FpgaDevice, Resources};
 
 /// The time model. All methods are pure functions of design size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeModel {
     /// Hours for a full-device synthesis at 100% LUT utilization.
     pub synth_hours_full: f64,

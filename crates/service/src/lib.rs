@@ -120,7 +120,7 @@ impl JobStatus {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// Job names are directory names; this one has characters outside
-    /// `[A-Za-z0-9._-]` (or is empty).
+    /// `[A-Za-z0-9._-]` (or is empty, `.` or `..`).
     InvalidName(String),
     /// Another job in this server already claimed the name.
     DuplicateName(String),
@@ -318,7 +318,9 @@ impl JobServer {
     ///
     /// See [`SubmitError`].
     pub fn submit(&self, req: JobRequest) -> Result<JobId, SubmitError> {
-        if req.name.is_empty()
+        // `.` and `..` pass the character check but resolve to the jobs
+        // directory and the service root themselves.
+        if matches!(req.name.as_str(), "" | "." | "..")
             || !req
                 .name
                 .bytes()

@@ -708,7 +708,7 @@ impl SimBatch {
     /// returned verbatim: the replay is provably cycle-identical, so this
     /// is invisible to everything except wall-clock. Any other difference
     /// simulates and replaces the cache entry. Allocation- and
-    /// telemetry-free like [`SimBatch::run`]; the `OVERGEN_SIM_ORACLE`
+    /// telemetry-free like [`SimBatch::run`]; the debug-build oracle's
     /// shadow sweep differentially checks reuse alongside pruning.
     pub fn run_cached(&mut self, sys: &SystemParams) -> SimReport {
         let tiles = self.tiles(sys);

@@ -1,6 +1,5 @@
 /// Result of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimReport {
     /// Total cycles for the tile to complete its share of the region.
     pub cycles: u64,

@@ -1,20 +1,20 @@
 //! Property-based tests over the core pipeline, driven by the in-tree
 //! deterministic PRNG (`overgen_telemetry::Rng`) so they run with zero
-//! external dependencies. The original `proptest` versions live in the
-//! feature-gated module at the bottom.
+//! external dependencies.
 
 use std::collections::BTreeMap;
 
-use overgen_adg::{mesh, MeshSpec, SysAdg, SystemParams};
-use overgen_compiler::{lower, CompileOptions, LowerChoices};
+use overgen_adg::{mesh, AdgSummary, MeshSpec, SysAdg, SystemParams};
+use overgen_compiler::{compile_variants, lower, CompileOptions, LowerChoices};
 use overgen_dse::{
     random_mutation, AdgDelta, Dse, DseConfig, ParetoFront, ParetoPoint, RuleSet, TransformCtx,
 };
-use overgen_ir::{expr, DataType, Kernel, KernelBuilder, Suite};
+use overgen_ir::{expr, AffineExpr, DataType, Kernel, KernelBuilder, Suite};
 use overgen_mdfg::Mdfg;
 use overgen_scheduler::{
     repair, repair_with, schedule, RepairOptions, RepairOutcome, Schedule, ScheduleFootprint,
 };
+use overgen_sim::{simulate, SimConfig};
 use overgen_telemetry::Rng;
 
 /// A random but well-formed elementwise kernel.
@@ -547,7 +547,7 @@ fn dse_results_carry_valid_schedules() {
 /// §12).
 #[test]
 fn analytic_bound_never_exceeds_simulated_cycles() {
-    use overgen_sim::{analytic_cycles, simulate, SimConfig};
+    use overgen_sim::analytic_cycles;
 
     let mut rng = Rng::seed_from_u64(0xA11A1);
     let banks = [2u32, 4, 8, 16];
@@ -594,165 +594,123 @@ fn analytic_bound_never_exceeds_simulated_cycles() {
     assert!(exercised >= 40, "only {exercised} pairs exercised");
 }
 
-// Gated: requires the `proptest-tests` feature AND restoring the proptest
-// dev-dependency in the root Cargo.toml (removed for offline builds).
-#[cfg(feature = "proptest-tests")]
-mod with_proptest {
-    use proptest::prelude::*;
-
-    use overgen_adg::{mesh, AdgSummary, MeshSpec, SysAdg, SystemParams};
-    use overgen_compiler::{compile_variants, lower, CompileOptions, LowerChoices};
-    use overgen_ir::{expr, AffineExpr, DataType, Kernel, KernelBuilder, Suite};
-    use overgen_scheduler::schedule;
-    use overgen_sim::{simulate, SimConfig};
-
-    /// A random but well-formed elementwise kernel.
-    fn arb_kernel() -> impl Strategy<Value = Kernel> {
-        (
-            1u64..=4096, // n
-            0usize..3,   // op shape selector
-            prop_oneof![
-                Just(DataType::I16),
-                Just(DataType::I64),
-                Just(DataType::F64)
-            ],
-            any::<bool>(), // accumulate
-        )
-            .prop_map(|(n, shape, dtype, accum)| {
-                let n = n.max(4);
-                let value = match shape {
-                    0 => expr::load("a", expr::idx("i")) + expr::load("b", expr::idx("i")),
-                    1 => expr::load("a", expr::idx("i")) * expr::load("b", expr::idx("i")),
-                    _ => {
-                        expr::load("a", expr::idx("i")) * expr::load("b", expr::idx("i"))
-                            + expr::load("a", expr::idx("i"))
-                    }
-                };
-                let b = KernelBuilder::new("rand", Suite::Dsp, dtype)
-                    .array_input("a", n)
-                    .array_input("b", n)
-                    .array_output("c", n)
-                    .loop_const("i", n);
-                let b = if accum {
-                    b.accum("c", expr::idx("i"), value)
-                } else {
-                    b.assign("c", expr::idx("i"), value)
-                };
-                b.build().expect("generated kernel is well formed")
-            })
+#[test]
+fn compile_variants_always_validate() {
+    let mut rng = Rng::seed_from_u64(0xC0DE);
+    for tag in 0..48 {
+        let k = arb_kernel(&mut rng, tag);
+        let vs = compile_variants(&k, &CompileOptions::default()).unwrap();
+        assert!(!vs.is_empty());
+        for v in &vs {
+            v.validate().unwrap();
+            // unrolls never exceed the innermost trip count
+            assert!(u64::from(v.unroll()) <= k.nest().innermost().unwrap().trip.max());
+            // firing count covers the iteration space
+            assert!(v.firings() * f64::from(v.unroll()) >= k.total_iterations());
+        }
     }
+}
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+#[test]
+fn schedule_assignments_are_exclusive_and_complete() {
+    let mut rng = Rng::seed_from_u64(0x5C4E);
+    let sys = SysAdg::new(mesh(&MeshSpec::general()), SystemParams::default());
+    let mut exercised = 0;
+    for tag in 0..48 {
+        let k = arb_kernel(&mut rng, tag);
+        let mdfg = lower(
+            &k,
+            0,
+            &LowerChoices {
+                unroll: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let Ok(sched) = schedule(&mdfg, &sys, None) else {
+            continue; // not every random kernel fits; that is legal
+        };
+        assert_schedule_valid(&sched, &mdfg, &sys);
+        exercised += 1;
+    }
+    assert!(exercised >= 24, "only {exercised} kernels scheduled");
+}
 
-        #[test]
-        fn compile_variants_always_validate(k in arb_kernel()) {
-            let vs = compile_variants(&k, &CompileOptions::default()).unwrap();
-            prop_assert!(!vs.is_empty());
-            for v in &vs {
-                v.validate().unwrap();
-                // unrolls never exceed the innermost trip count
-                prop_assert!(u64::from(v.unroll()) <= k.nest().innermost().unwrap().trip.max());
-                // firing count covers the iteration space
-                prop_assert!(v.firings() * f64::from(v.unroll()) >= k.total_iterations());
+#[test]
+fn simulation_terminates_and_conserves_work() {
+    let mut rng = Rng::seed_from_u64(0x51F7);
+    let sys = SysAdg::new(mesh(&MeshSpec::general()), SystemParams::default());
+    for tag in 0..48 {
+        let k = arb_kernel(&mut rng, tag);
+        let mdfg = lower(
+            &k,
+            0,
+            &LowerChoices {
+                unroll: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let Ok(sched) = schedule(&mdfg, &sys, None) else {
+            continue;
+        };
+        let r = simulate(&mdfg, &sched, &sys, &SimConfig::default());
+        assert!(!r.truncated);
+        // all firings delivered for this tile's share
+        let tiles = u64::from(sys.sys.tiles);
+        assert_eq!(r.firings, (mdfg.firings() as u64).div_ceil(tiles));
+        // IPC is bounded by the theoretical peak
+        assert!(r.ipc <= mdfg.insts_per_firing() * tiles as f64 + 1e-9);
+    }
+}
+
+#[test]
+fn affine_range_contains_samples() {
+    let mut rng = Rng::seed_from_u64(0xAFF1);
+    for _ in 0..256 {
+        let c0 = rng.gen_range(-50i64..50);
+        let c1 = rng.gen_range(-4i64..4);
+        let c2 = rng.gen_range(-4i64..4);
+        let n1 = rng.gen_range(1u64..40);
+        let n2 = rng.gen_range(1u64..40);
+        let e = (AffineExpr::var("x").scaled(c1) + AffineExpr::var("y").scaled(c2)).offset(c0);
+        let extent = |v: &str| match v {
+            "x" => Some(n1),
+            "y" => Some(n2),
+            _ => None,
+        };
+        let (lo, hi) = e.value_range(&extent);
+        for x in [0, (n1 - 1) / 2, n1 - 1] {
+            for y in [0, (n2 - 1) / 2, n2 - 1] {
+                let env =
+                    BTreeMap::from([("x".to_string(), x as i64), ("y".to_string(), y as i64)]);
+                let v = e.eval(&env);
+                assert!(v >= lo && v <= hi, "{v} outside [{lo},{hi}]");
             }
         }
+    }
+}
 
-        #[test]
-        fn schedule_assignments_are_exclusive_and_complete(k in arb_kernel()) {
-            let sys = SysAdg::new(mesh(&MeshSpec::general()), SystemParams::default());
-            let mdfg = lower(&k, 0, &LowerChoices { unroll: 2, ..Default::default() }).unwrap();
-            let sched = match schedule(&mdfg, &sys, None) {
-                Ok(s) => s,
-                Err(_) => return Ok(()), // not all random kernels fit; that is legal
-            };
-            // every mdfg node assigned to live hardware
-            prop_assert_eq!(sched.assignment.len(), mdfg.node_count());
-            for hw in sched.assignment.values() {
-                prop_assert!(sys.adg.contains(*hw));
-            }
-            // dedicated PEs: no two instructions share one
-            let mut pes = std::collections::BTreeSet::new();
-            for (mid, hw) in &sched.assignment {
-                if mdfg.node(*mid).unwrap().as_inst().is_some() {
-                    prop_assert!(pes.insert(*hw), "PE shared by two instructions");
-                }
-            }
-            // routes start/end at assigned nodes and use real edges
-            for ((src, dst), path) in &sched.routes {
-                prop_assert_eq!(path[0], sched.assignment[src]);
-                prop_assert_eq!(*path.last().unwrap(), sched.assignment[dst]);
-                for w in path.windows(2) {
-                    prop_assert!(sys.adg.has_edge(w[0], w[1]));
-                }
-            }
-        }
-
-        #[test]
-        fn simulation_terminates_and_conserves_work(k in arb_kernel()) {
-            let sys = SysAdg::new(mesh(&MeshSpec::general()), SystemParams::default());
-            let mdfg = lower(&k, 0, &LowerChoices { unroll: 2, ..Default::default() }).unwrap();
-            let sched = match schedule(&mdfg, &sys, None) {
-                Ok(s) => s,
-                Err(_) => return Ok(()),
-            };
-            let r = simulate(&mdfg, &sched, &sys, &SimConfig::default());
-            prop_assert!(!r.truncated);
-            // all firings delivered for this tile's share
-            let tiles = u64::from(sys.sys.tiles);
-            let expect = (mdfg.firings() as u64).div_ceil(tiles);
-            prop_assert_eq!(r.firings, expect);
-            // IPC is bounded by the theoretical peak
-            prop_assert!(r.ipc <= mdfg.insts_per_firing() * tiles as f64 + 1e-9);
-        }
-
-        #[test]
-        fn affine_range_contains_samples(
-            c0 in -50i64..50,
-            c1 in -4i64..4,
-            c2 in -4i64..4,
-            n1 in 1u64..40,
-            n2 in 1u64..40,
-        ) {
-            let e = AffineExpr::var("x").scaled(c1) + AffineExpr::var("y").scaled(c2);
-            let e = e.offset(c0);
-            let extent = |v: &str| -> Option<u64> {
-                match v { "x" => Some(n1), "y" => Some(n2), _ => None }
-            };
-            let (lo, hi) = e.value_range(&extent);
-            for x in [0, (n1 - 1) / 2, n1 - 1] {
-                for y in [0, (n2 - 1) / 2, n2 - 1] {
-                    let mut env = std::collections::BTreeMap::new();
-                    env.insert("x".to_string(), x as i64);
-                    env.insert("y".to_string(), y as i64);
-                    let v = e.eval(&env);
-                    prop_assert!(v >= lo && v <= hi, "{v} outside [{lo},{hi}]");
-                }
-            }
-        }
-
-        #[test]
-        fn mesh_specs_always_build_valid_graphs(
-            rows in 1usize..5,
-            cols in 1usize..6,
-            in_ports in 1usize..8,
-            out_ports in 1usize..6,
-            width in prop_oneof![Just(8u16), Just(16), Just(32), Just(64)],
-        ) {
-            let spec = MeshSpec {
-                rows,
-                cols,
-                in_ports,
-                out_ports,
-                port_width_bytes: width,
-                ..MeshSpec::default()
-            };
-            let adg = mesh(&spec);
-            adg.validate().unwrap();
-            let s = AdgSummary::of(&adg);
-            prop_assert_eq!(s.pes, rows * cols);
-            prop_assert_eq!(s.switches, (rows + 1) * (cols + 1));
-            prop_assert_eq!(s.in_port_bw, in_ports as u64 * u64::from(width));
-        }
+#[test]
+fn mesh_specs_always_build_valid_graphs() {
+    let mut rng = Rng::seed_from_u64(0x3E54);
+    for _ in 0..64 {
+        let (rows, cols) = (rng.gen_range(1usize..5), rng.gen_range(1usize..6));
+        let in_ports = rng.gen_range(1usize..8);
+        let width = [8u16, 16, 32, 64][rng.gen_range(0usize..4)];
+        let spec = MeshSpec {
+            rows,
+            cols,
+            in_ports,
+            out_ports: rng.gen_range(1usize..6),
+            port_width_bytes: width,
+            ..MeshSpec::default()
+        };
+        let adg = mesh(&spec);
+        adg.validate().unwrap();
+        let s = AdgSummary::of(&adg);
+        assert_eq!(s.pes, rows * cols);
+        assert_eq!(s.switches, (rows + 1) * (cols + 1));
+        assert_eq!(s.in_port_bw, in_ports as u64 * u64::from(width));
     }
 }

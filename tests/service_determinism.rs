@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use overgen_compiler::CompileOptions;
 use overgen_dse::{Dse, DseConfig, DseResult};
-use overgen_service::{JobRequest, JobServer, JobStatus, ServiceConfig};
+use overgen_service::{JobRequest, JobServer, JobStatus, ServiceConfig, SubmitError};
 use overgen_workloads as workloads;
 
 fn temp_root(name: &str) -> PathBuf {
@@ -320,5 +320,28 @@ fn submission_rejects_bad_and_duplicate_names() {
     assert!(server.submit(job("taken", "fir", 2)).is_err());
     assert_eq!(server.wait(ok), Some(JobStatus::Done));
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn dot_names_cannot_escape_the_jobs_directory() {
+    let root = temp_root("dots");
+    let server = JobServer::start(ServiceConfig {
+        root: root.clone(),
+        workers: 1,
+        store: false,
+    })
+    .unwrap();
+    for name in [".", ".."] {
+        assert_eq!(
+            server.submit(job(name, "fir", 1)),
+            Err(SubmitError::InvalidName(name.to_string()))
+        );
+    }
+    server.shutdown();
+    for artifact in ["trace.jsonl", "result.json", "metrics.json"] {
+        assert!(!root.join(artifact).exists(), "{artifact} escaped to root");
+        assert!(!root.join("jobs").join(artifact).exists());
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

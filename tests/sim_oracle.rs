@@ -1,14 +1,12 @@
 //! The differential oracle for the simulator-backed system DSE.
 //!
-//! `OVERGEN_SIM_ORACLE=1` makes `system_dse_sim` run a silent exhaustive
-//! shadow sweep beside the analytically-pruned one and panic if the
-//! winners (parameters or exact score bits) ever diverge — pruning must
-//! be invisible to everything except wall-clock. This harness drives the
-//! oracle across all 19 paper workloads, a seeded-random grid sweep, and
-//! full DSE runs at 1 and 4 worker threads, asserting byte-identical
-//! results and traces in every configuration.
-
-use std::sync::Mutex;
+//! In debug builds `system_dse_sim` runs a silent exhaustive shadow walk
+//! beside the analytically-pruned one and panics if the winners
+//! (parameters or exact score bits) ever diverge — pruning must be
+//! invisible to everything except wall-clock. This harness, built without
+//! `--release`, drives the oracle across all 19 paper workloads, a
+//! seeded-random grid sweep, and full DSE runs at 1 and 4 worker threads,
+//! asserting byte-identical results and traces in every configuration.
 
 use overgen::{workloads, Overlay};
 use overgen_compiler::CompileOptions;
@@ -16,24 +14,6 @@ use overgen_dse::{system_dse_sim, Dse, DseConfig, DseResult, SystemDseBackend, S
 use overgen_model::AnalyticModel;
 use overgen_sim::SimConfig;
 use overgen_telemetry::{Collector, Rng};
-
-/// Serializes every env-touching section: `OVERGEN_SIM_ORACLE` is process
-/// global and the tests in this binary run concurrently. (The oracle is
-/// trace- and result-invisible by design, so a race would only add silent
-/// shadow work — the lock keeps pruning tallies deterministic anyway.)
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_oracle<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    if on {
-        std::env::set_var("OVERGEN_SIM_ORACLE", "1");
-    } else {
-        std::env::remove_var("OVERGEN_SIM_ORACLE");
-    }
-    let out = f();
-    std::env::remove_var("OVERGEN_SIM_ORACLE");
-    out
-}
 
 /// A reduced grid (32 points) that keeps the debug-build sweeps quick
 /// while still spanning every parameter axis.
@@ -49,11 +29,11 @@ fn small_cfg() -> SystemDseConfig {
 
 #[test]
 fn oracle_holds_on_all_19_workloads() {
-    // The pruned sweep runs with the oracle armed: `system_dse_sim`
-    // itself asserts winner identity against its exhaustive shadow, so
-    // surviving the call is the differential check. The returned winner
-    // must also exist for every workload (the general overlay fits the
-    // default device comfortably).
+    // Debug builds arm the oracle: `system_dse_sim` itself asserts winner
+    // identity against its exhaustive shadow, so surviving the call is
+    // the differential check. The returned winner must also exist for
+    // every workload (the general overlay fits the default device
+    // comfortably).
     let overlay = Overlay::general();
     let kernels = workloads::all();
     assert_eq!(kernels.len(), 19);
@@ -65,25 +45,23 @@ fn oracle_holds_on_all_19_workloads() {
         max_cycles: 120_000,
         ..Default::default()
     };
-    with_oracle(true, || {
-        for k in &kernels {
-            let app = overlay
-                .compile(k)
-                .unwrap_or_else(|e| panic!("{} failed to compile: {e}", k.name()));
-            let per = vec![(&app.mdfg, &app.schedule, 1.0)];
-            let got = system_dse_sim(
-                &overlay.sys_adg.adg,
-                &per,
-                &AnalyticModel,
-                &cfg,
-                &sim_cfg,
-                true,
-            );
-            let (sys, score) = got.unwrap_or_else(|| panic!("{} found no system", k.name()));
-            assert!(score > 0.0, "{}: non-positive score", k.name());
-            assert!(sys.tiles >= 1);
-        }
-    });
+    for k in &kernels {
+        let app = overlay
+            .compile(k)
+            .unwrap_or_else(|e| panic!("{} failed to compile: {e}", k.name()));
+        let per = vec![(&app.mdfg, &app.schedule, 1.0)];
+        let got = system_dse_sim(
+            &overlay.sys_adg.adg,
+            &per,
+            &AnalyticModel,
+            &cfg,
+            &sim_cfg,
+            true,
+        );
+        let (sys, score) = got.unwrap_or_else(|| panic!("{} found no system", k.name()));
+        assert!(score > 0.0, "{}: non-positive score", k.name());
+        assert!(sys.tiles >= 1);
+    }
 }
 
 #[test]
@@ -97,26 +75,18 @@ fn pruned_and_exhaustive_return_identical_winners() {
         let k = workloads::by_name(name).unwrap();
         let app = overlay.compile(&k).unwrap();
         let per = vec![(&app.mdfg, &app.schedule, 1.0)];
-        let (pruned, exhaustive) = with_oracle(false, || {
-            (
+        let (pruned, exhaustive) = [true, false]
+            .map(|prune| {
                 system_dse_sim(
                     &overlay.sys_adg.adg,
                     &per,
                     &AnalyticModel,
                     &cfg,
                     &sim_cfg,
-                    true,
-                ),
-                system_dse_sim(
-                    &overlay.sys_adg.adg,
-                    &per,
-                    &AnalyticModel,
-                    &cfg,
-                    &sim_cfg,
-                    false,
-                ),
-            )
-        });
+                    prune,
+                )
+            })
+            .into();
         let (p, e) = (pruned.unwrap(), exhaustive.unwrap());
         assert_eq!(p.0, e.0, "{name}: winner params diverged");
         assert_eq!(
@@ -158,26 +128,18 @@ fn seeded_random_grids_agree() {
             .iter()
             .map(|a| (&a.mdfg, &a.schedule, rng.gen_range(1u64..=4) as f64))
             .collect();
-        let (pruned, exhaustive) = with_oracle(false, || {
-            (
+        let (pruned, exhaustive) = [true, false]
+            .map(|prune| {
                 system_dse_sim(
                     &overlay.sys_adg.adg,
                     &per,
                     &AnalyticModel,
                     &cfg,
                     &sim_cfg,
-                    true,
-                ),
-                system_dse_sim(
-                    &overlay.sys_adg.adg,
-                    &per,
-                    &AnalyticModel,
-                    &cfg,
-                    &sim_cfg,
-                    false,
-                ),
-            )
-        });
+                    prune,
+                )
+            })
+            .into();
         match (pruned, exhaustive) {
             (None, None) => {}
             (Some(p), Some(e)) => {
@@ -193,40 +155,27 @@ fn seeded_random_grids_agree() {
     }
 }
 
-/// One traced simulator-backed DSE run over the fir workload. The
-/// (threads=1, oracle=on) leg is shared by two tests, so it is memoized.
-fn traced_sim_dse(threads: usize, oracle: bool) -> (DseResult, String) {
-    static BASELINE: std::sync::OnceLock<(DseResult, String)> = std::sync::OnceLock::new();
-    if threads == 1 && oracle {
-        return BASELINE
-            .get_or_init(|| traced_sim_dse_uncached(1, true))
-            .clone();
-    }
-    traced_sim_dse_uncached(threads, oracle)
-}
-
-fn traced_sim_dse_uncached(threads: usize, oracle: bool) -> (DseResult, String) {
-    with_oracle(oracle, || {
-        let (collector, ring) = Collector::ring(1 << 18);
-        let _install = overgen_telemetry::install(collector);
-        let cfg = DseConfig {
-            iterations: 6,
-            seed: 0x51A0C1,
-            threads,
-            compile: CompileOptions {
-                max_unroll: 2,
-                ..Default::default()
-            },
-            system: SystemDseConfig {
-                backend: SystemDseBackend::Simulate { prune: true },
-                ..small_cfg()
-            },
+/// One traced simulator-backed DSE run over the fir workload.
+fn traced_sim_dse(threads: usize) -> (DseResult, String) {
+    let (collector, ring) = Collector::ring(1 << 18);
+    let _install = overgen_telemetry::install(collector);
+    let cfg = DseConfig {
+        iterations: 6,
+        seed: 0x51A0C1,
+        threads,
+        compile: CompileOptions {
+            max_unroll: 2,
             ..Default::default()
-        };
-        let domain = vec![workloads::by_name("fir").unwrap()];
-        let result = Dse::new(domain, cfg).run().unwrap();
-        (result, ring.to_jsonl())
-    })
+        },
+        system: SystemDseConfig {
+            backend: SystemDseBackend::Simulate { prune: true },
+            ..small_cfg()
+        },
+        ..Default::default()
+    };
+    let domain = vec![workloads::by_name("fir").unwrap()];
+    let result = Dse::new(domain, cfg).run().unwrap();
+    (result, ring.to_jsonl())
 }
 
 /// Comparable view of a run: objective bits, ADG fingerprint, annealing
@@ -251,22 +200,11 @@ fn oracle_dse_traces_are_identical_across_threads() {
     // stay bit-identical in results AND byte-identical in traces at 1
     // and 4 worker threads (the sweep itself is serial by contract; the
     // per-workload scheduling fan-out is the threaded part).
-    let (serial, trace_serial) = traced_sim_dse(1, true);
-    let (parallel, trace_parallel) = traced_sim_dse(4, true);
+    let (serial, trace_serial) = traced_sim_dse(1);
+    let (parallel, trace_parallel) = traced_sim_dse(4);
     assert_eq!(digest(&serial), digest(&parallel));
     assert_eq!(serial.schedules, parallel.schedules);
     assert_eq!(serial.stats, parallel.stats);
     assert_eq!(trace_serial, trace_parallel, "threads changed the trace");
     assert!(!trace_serial.is_empty());
-}
-
-#[test]
-fn oracle_mode_is_invisible_to_traces_and_results() {
-    // The shadow sweep emits no spans, events, or counters: a run with
-    // the oracle armed must be byte-identical to one without.
-    let (with_oracle_run, trace_on) = traced_sim_dse(1, true);
-    let (without, trace_off) = traced_sim_dse(1, false);
-    assert_eq!(digest(&with_oracle_run), digest(&without));
-    assert_eq!(with_oracle_run.stats, without.stats);
-    assert_eq!(trace_on, trace_off, "oracle mode leaked into the trace");
 }
