@@ -16,10 +16,10 @@
 //!    per-proposal speedup is the summed full-placement time over the
 //!    summed repair time; the record reports the median across proposals.
 //!
-//! The timing loop always exercises *both* paths explicitly, so the
-//! emitted trace does not depend on `OVERGEN_REPAIR` — only the DSE run of
-//! part 1 honors the env switch (that is the half the determinism gate
-//! diffs).
+//! The timing loop always exercises *both* paths explicitly. Debug builds
+//! also check every fast-path repair against a silent full placement
+//! (see `overgen_scheduler::repair_with`), so run this in release for
+//! representative timings.
 
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ use overgen_scheduler::{repair_with, schedule, RepairOptions, Schedule, Schedule
 use overgen_telemetry::{fs::write_atomic, json, Rng};
 use overgen_workloads as workloads;
 
-use crate::harness::{dse_config, dse_iters, repair_enabled, results_dir, seed};
+use crate::harness::{dse_config, dse_iters, results_dir, seed};
 use crate::table::Table;
 
 /// Domain for both measurements (a MachSuite slice, as in Figure 18).
@@ -157,9 +157,8 @@ fn timing_chain() -> (Vec<f64>, usize, usize, f64, f64) {
         }
 
         let opts = RepairOptions {
-            incremental: true,
             footprint: Some(footprint),
-            scope: None,
+            ..RepairOptions::default()
         };
         let mut repair_s = 0.0;
         let mut full_s = 0.0;
@@ -249,7 +248,6 @@ pub fn run() -> RepairReport {
     let record = json::Obj::new()
         .str("bench", "repair")
         .u64("seed", seed())
-        .bool("repair_enabled", repair_enabled())
         .raw("dse", &dse)
         .raw("timing", &timing)
         .finish();

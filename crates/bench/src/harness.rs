@@ -48,10 +48,10 @@ fn arg_value(flag: &str) -> Option<String> {
 }
 
 /// DSE worker threads (`--threads N` or env `OVERGEN_DSE_THREADS`) for
-/// per-workload scheduling and concurrent chains; the system-DSE sweep is
-/// serial regardless. `0` means one worker per core; the default of 1
-/// runs serially. Results and traces are identical for any value — this
-/// only changes wall-clock.
+/// running chains concurrently; a proposal's own evaluation is serial, so
+/// threads beyond `--chains` idle. `0` means one worker per core; the
+/// default of 1 runs serially. Results and traces are identical for any
+/// value — this only changes wall-clock.
 pub fn dse_threads() -> usize {
     arg_value("threads")
         .or_else(|| std::env::var("OVERGEN_DSE_THREADS").ok())
@@ -68,18 +68,6 @@ pub fn dse_chains() -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
         .max(1)
-}
-
-/// Incremental repair fast path (env `OVERGEN_REPAIR`, default on).
-/// `OVERGEN_REPAIR=0` switches every eligible repair into verification
-/// mode: a silent full placement asserted equal to the fast
-/// reconstruction. Results, counters, and traces are byte-identical in
-/// both modes — the determinism gate in `scripts/check.sh` diffs them.
-pub fn repair_enabled() -> bool {
-    !matches!(
-        std::env::var("OVERGEN_REPAIR").as_deref(),
-        Ok("0") | Ok("false") | Ok("no")
-    )
 }
 
 /// Directory experiment artifacts land in (env `OVERGEN_RESULTS_DIR`,
@@ -232,7 +220,6 @@ pub fn dse_config(iterations: usize, seed: u64) -> DseConfig {
         mutations_per_step: 2,
         threads: dse_threads(),
         chains: dse_chains(),
-        repair: repair_enabled(),
         heartbeat: heartbeat_config(),
         ..Default::default()
     }

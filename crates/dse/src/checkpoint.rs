@@ -998,7 +998,6 @@ fn config_to_json(cfg: &DseConfig) -> String {
         .raw("exchange_interval", &hx(cfg.exchange_interval as u64))
         .bool("cache", cfg.cache)
         .raw("compound", &hx(cfg.compound as u64))
-        .bool("repair", cfg.repair)
         .raw("checkpoint", &ck)
         .finish()
 }
@@ -1072,7 +1071,6 @@ fn config_from_json(v: &Value) -> Result<DseConfig, String> {
         exchange_interval: d_usize(get(v, "exchange_interval")?)?,
         cache: d_bool(get(v, "cache")?)?,
         compound: d_usize(get(v, "compound")?)?,
-        repair: d_bool(get(v, "repair")?)?,
         checkpoint,
         // Stop budgets and monitoring are per-invocation, never persisted:
         // a resumed run goes to completion unless the caller sets fresh
@@ -1137,6 +1135,25 @@ mod tests {
         let mut re = ck.to_json();
         re.push('\n');
         assert_eq!(on_disk, re, "load -> save must be lossless");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoint_with_retired_repair_key_still_loads() {
+        // Version-4 checkpoints written before the `repair` config switch
+        // was removed carry a `"repair"` key; the reader must ignore it.
+        let path = tmp("retired-repair-key");
+        Dse::new(vec![vecadd()], small_cfg(path.clone()))
+            .run()
+            .unwrap();
+        let current = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(current.matches(",\"checkpoint\":").count(), 1);
+        let legacy = current.replace(",\"checkpoint\":", ",\"repair\":true,\"checkpoint\":");
+        std::fs::write(&path, legacy).unwrap();
+        let ck = Checkpoint::load(&path).unwrap();
+        let mut re = ck.to_json();
+        re.push('\n');
+        assert_eq!(current, re);
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,19 +1,15 @@
-//! The simulated-annealing DSE driver (paper Figure 6), parallelized on
-//! two axes with `std::thread::scope` only:
+//! The simulated-annealing DSE driver (paper Figure 6), parallelized with
+//! `std::thread::scope` only, across chains: [`DseConfig::chains`]
+//! independent chains (seeds derived with [`Rng::split`]) run concurrently
+//! and exchange their best state every [`DseConfig::exchange_interval`]
+//! iterations. Within a proposal everything is serial: workloads are
+//! scheduled in workload-name order and the nested system DSE walks its
+//! grid on the calling thread.
 //!
-//! * **intra-proposal fan-out** — every workload's schedule/repair runs on
-//!   a worker pool, and the nested system DSE sweeps tile counts in
-//!   parallel;
-//! * **multi-chain annealing** — [`DseConfig::chains`] independent chains
-//!   (seeds derived with [`Rng::split`]) run concurrently and exchange
-//!   their best state every [`DseConfig::exchange_interval`] iterations.
-//!
-//! Determinism is by construction: workers emit telemetry through
-//! capture/replay (`overgen_telemetry::capture`), per-workload results and
-//! simulated-time deltas are folded in workload-name order, and chain
-//! traces replay in chain order — so the `DseResult` and the
-//! deterministic-clock JSONL trace are byte-identical for any thread
-//! count.
+//! Determinism is by construction: chains emit telemetry through
+//! capture/replay (`overgen_telemetry::capture`) and their traces replay
+//! in chain order — so the `DseResult` and the deterministic-clock JSONL
+//! trace are byte-identical for any thread count.
 //!
 //! Proposal *evaluation* — scheduling, the nested system DSE, performance
 //! estimation, memoization — lives in [`crate::eval::EvalPipeline`], and
@@ -73,10 +69,9 @@ pub struct DseConfig {
     pub weights: BTreeMap<String, f64>,
     /// Mutations applied per proposal.
     pub mutations_per_step: usize,
-    /// Worker threads for intra-proposal fan-out (per-workload
-    /// scheduling) and for running chains concurrently; the nested
-    /// system-DSE sweep is always serial. `0` = one worker per available
-    /// core. The result and trace are independent of this value.
+    /// Worker threads running chains concurrently; each proposal is
+    /// evaluated serially on its chain's thread. `0` = one worker per
+    /// available core. The result and trace are independent of this value.
     pub threads: usize,
     /// Independent annealing chains run as an island model with periodic
     /// best-state exchange. The result depends on `chains` (more chains =
@@ -96,12 +91,6 @@ pub struct DseConfig {
     /// config hash (only when enabled, so default hashes are unchanged)
     /// and persisted in checkpoints.
     pub compound: usize,
-    /// Take the incremental repair fast path when a mutation's dirty set is
-    /// empty (the default). When `false` (env `OVERGEN_REPAIR=0` in the
-    /// bench harness), eligible repairs run a silent full placement and
-    /// assert it equals the fast reconstruction — results, counters, and
-    /// traces must be byte-identical in both modes.
-    pub repair: bool,
     /// Periodic crash-safe checkpointing: every `interval` proposals the
     /// full annealer state is atomically written to `path`, and
     /// [`Checkpoint::load`] + [`Checkpoint::resume`] continue the run with
@@ -176,7 +165,6 @@ impl Default for DseConfig {
             exchange_interval: 25,
             cache: true,
             compound: 1,
-            repair: true,
             checkpoint: None,
             max_proposals: None,
             max_wall_seconds: None,
@@ -386,8 +374,8 @@ pub struct Dse {
 
 impl Dse {
     /// Create a DSE over a set of workloads (the domain). Workloads are
-    /// kept sorted by name: name order is the canonical fold order for all
-    /// parallel per-workload work.
+    /// kept sorted by name: name order is the canonical order in which a
+    /// proposal schedules them.
     pub fn new(mut workloads: Vec<Kernel>, cfg: DseConfig) -> Self {
         workloads.sort_by(|a, b| a.name().cmp(b.name()));
         Dse {
@@ -518,12 +506,6 @@ impl Dse {
     /// when the domain cannot even be scheduled on a widened seed mesh.
     pub fn run(&self) -> Result<DseResult, DseError> {
         let chains = self.cfg.chains.max(1);
-        let threads = match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            t => t,
-        };
         let run_span = span!(
             "dse.run",
             seed = self.cfg.seed,
@@ -558,7 +540,6 @@ impl Dse {
             model,
             &run_registry,
             Self::config_hash(&self.cfg),
-            threads,
             None,
         );
         let base = stat_totals(&run_registry);
@@ -637,12 +618,6 @@ impl Dse {
     /// The seed evaluation is skipped entirely — the chains carry their
     /// state.
     pub(crate) fn resume_from(&self, ck: &Checkpoint) -> Result<DseResult, DseError> {
-        let threads = match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            t => t,
-        };
         // Variants are recompiled rather than persisted (large, and a
         // deterministic function of the kernels). The interrupted run
         // emitted its `dse.compile_variants` span *before* the cursor, so
@@ -684,7 +659,6 @@ impl Dse {
             &AnalyticModel,
             &run_registry,
             Self::config_hash(&self.cfg),
-            threads,
             Some((&ck.eval_keys, &ck.sys_keys)),
         );
         run_registry.counter("dse.checkpoint.restore").inc();
@@ -741,6 +715,12 @@ impl Dse {
         let interval = self.cfg.checkpoint.as_ref().map(|c| c.interval.max(1));
         let wall = Instant::now();
         let parent = overgen_telemetry::current();
+        let threads = match self.cfg.threads {
+            0 => std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            t => t,
+        };
         let mut written_at = None::<usize>;
         let mut stop_reason = None::<&'static str>;
         // The proposal budget the heartbeat reports progress/ETA against.
@@ -781,7 +761,7 @@ impl Dse {
             let seg = end - done;
 
             let jobs: Vec<(usize, ChainState)> = states.into_iter().enumerate().collect();
-            let outputs = fan_out(pipe.threads().min(chains), jobs, |(idx, mut st)| {
+            let outputs = fan_out(threads, jobs, |(idx, mut st)| {
                 let ((), trace) = capture(parent.as_ref(), || {
                     self.run_segment(&mut st, idx, done, seg, pipe, counters);
                 });

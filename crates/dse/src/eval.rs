@@ -44,7 +44,6 @@ use overgen_scheduler::{
 
 use crate::cache::{hash_placement, hash_schedule, Memo};
 use crate::engine::DseConfig;
-use crate::pool::fan_out;
 use crate::system::{system_dse, system_dse_sim, SystemDseBackend};
 
 /// Structured outcome of one successful proposal evaluation: everything an
@@ -121,8 +120,8 @@ struct EvalCounters {
 
 /// The evaluation pipeline: shared, read-only context for scoring
 /// proposals. All interior mutability (the memo caches, counters) is
-/// thread-safe and commutative, so chains and per-workload workers may
-/// query one pipeline concurrently.
+/// thread-safe and commutative, so concurrently running chains may query
+/// one pipeline.
 pub(crate) struct EvalPipeline<'a> {
     workloads: &'a [Kernel],
     cfg: &'a DseConfig,
@@ -140,7 +139,6 @@ pub(crate) struct EvalPipeline<'a> {
     /// Domain discriminator folded into persistent-store keys only (the
     /// full mDFG variant set; see [`EvalPipeline::new`]).
     store_salt: u64,
-    threads: usize,
     cache_enabled: bool,
     /// Phase-attribution profiler, captured from the constructing thread
     /// (worker threads have no thread-local profiler). Wall-time only —
@@ -162,7 +160,6 @@ impl<'a> EvalPipeline<'a> {
         model: &'a dyn ResourceModel,
         run_registry: &'a Registry,
         cfg_hash: u64,
-        threads: usize,
         warm: Option<(&[u64], &[u64])>,
     ) -> Self {
         let (eval_cache, sys_cache) = match warm {
@@ -204,14 +201,9 @@ impl<'a> EvalPipeline<'a> {
             sys_cache,
             cfg_hash,
             store_salt,
-            threads,
             cache_enabled: cfg.cache,
             profiler: current_profiler(),
         }
-    }
-
-    pub(crate) fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Persistent-store key for an in-memory memo key: the memo key plus
@@ -337,13 +329,13 @@ impl<'a> EvalPipeline<'a> {
     }
 
     /// One full evaluation (Figure 6 steps 2-3): gate on the objective's
-    /// hard resource budget, schedule or repair every workload (fanned out
-    /// across `threads` workers, folded in workload-name order), then run
-    /// the nested system DSE and score the report. Always runs under an
-    /// isolated capture collector (see [`capture_isolated`]).
+    /// hard resource budget, schedule or repair every workload in
+    /// workload-name order, then run the nested system DSE and score the
+    /// report. Always runs under an isolated capture collector (see
+    /// [`capture_isolated`]).
     ///
     /// Every workload is processed even after one fails, so the recorded
-    /// operation stream does not depend on which worker finishes first.
+    /// operation stream and the simulated time cover every workload.
     fn evaluate_uncached(
         &self,
         adg: &Adg,
@@ -392,24 +384,17 @@ impl<'a> EvalPipeline<'a> {
             repair_moved: reg.histogram("dse.repair_moved"),
         };
 
-        let jobs: Vec<&Kernel> = self.workloads.iter().collect();
-        let outs = fan_out(self.threads, jobs, |k| {
+        let mut schedules: BTreeMap<String, Schedule> = BTreeMap::new();
+        let mut variants: BTreeMap<String, u32> = BTreeMap::new();
+        let mut complete = true;
+        for k in self.workloads {
             let hot = self
                 .profiler
                 .as_ref()
                 .map(|p| p.hot_timer("workload", k.name()));
-            let out = capture(Some(&eval_collector), || {
-                self.schedule_workload(k, &sys_probe, prior, footprint, scope, &counters)
-            });
+            let (found, sim_delta) =
+                self.schedule_workload(k, &sys_probe, prior, footprint, scope, &counters);
             drop(hot);
-            out
-        });
-
-        let mut schedules: BTreeMap<String, Schedule> = BTreeMap::new();
-        let mut variants: BTreeMap<String, u32> = BTreeMap::new();
-        let mut complete = true;
-        for (k, ((found, sim_delta), trace)) in self.workloads.iter().zip(outs) {
-            replay(&trace);
             sim += sim_delta;
             match found {
                 Some((variant, s)) => {
@@ -613,7 +598,7 @@ impl<'a> EvalPipeline<'a> {
     ///
     /// Simulated-time charges are a pure function of the repair
     /// *classification* (intact / moved count / reschedule), never of the
-    /// execution path, so `cfg.repair` on/off produces identical `sim`.
+    /// execution path, so the debug-build repair oracle leaves `sim` as is.
     fn schedule_workload(
         &self,
         k: &Kernel,
@@ -630,9 +615,9 @@ impl<'a> EvalPipeline<'a> {
             return (None, sim);
         };
         let opts = RepairOptions {
-            incremental: self.cfg.repair,
             footprint: Some(footprint),
             scope: scope.cloned(),
+            ..RepairOptions::default()
         };
         let mut repair_failed_variant = None;
         if let Some(p) = prior.get(name) {

@@ -20,12 +20,12 @@
 //! cheap — which is exactly why schedule-preserving transformations reduce
 //! DSE time (Q8).
 //!
-//! The driver is parallel and deterministic: [`DseConfig::threads`] fans
-//! per-workload scheduling out over `std::thread::scope` workers (the
-//! system-DSE sweep is cheap enough to stay serial), [`DseConfig::chains`] runs independent
-//! annealing chains with periodic best-state exchange, and an evaluation
-//! cache keyed by [`overgen_adg::Adg::fingerprint`] memoizes repeated
-//! design points. Results and telemetry traces are byte-identical for any
+//! The driver is parallel and deterministic: [`DseConfig::chains`] runs
+//! independent annealing chains with periodic best-state exchange,
+//! concurrently on [`DseConfig::threads`] `std::thread::scope` workers
+//! (each proposal is evaluated serially on its chain's thread), and an
+//! evaluation cache keyed by [`overgen_adg::Adg::fingerprint`] memoizes
+//! repeated design points. Results and telemetry traces are byte-identical for any
 //! thread count (see `engine` module docs).
 //!
 //! # Example

@@ -49,10 +49,9 @@ pub fn schedule(
 
 /// Full placement without any telemetry output.
 ///
-/// The repair engine's verification mode (`OVERGEN_REPAIR=0`) runs the full
-/// placer where the fast path would have reconstructed the schedule from the
-/// prior mapping; the run must be silent so traces stay byte-identical
-/// between the two modes.
+/// The repair engine's debug-build oracle runs the full placer beside every
+/// fast-path reconstruction from the prior mapping; the run must be silent
+/// so traces stay byte-identical with and without the oracle.
 pub(crate) fn place_quiet(
     mdfg: &Mdfg,
     sys_adg: &SysAdg,

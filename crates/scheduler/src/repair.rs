@@ -16,11 +16,11 @@
 //!    dirty set falls back to a full placement seeded with the prior, which
 //!    re-places the dirty region and keeps everything else put.
 //!
-//! Setting [`RepairOptions::incremental`] to `false` (env `OVERGEN_REPAIR=0`
-//! in the bench harness) turns every fast-path hit into a silent full
-//! placement that is asserted equal to the fast reconstruction — an oracle
-//! mode the determinism gates run to prove the fast path changes nothing:
-//! counters, events, and results are byte-identical in both modes.
+//! Debug builds (and [`RepairOptions::incremental`] `false`) also run a
+//! silent full placement beside every fast-path hit and assert it equals
+//! the fast reconstruction — an oracle that every debug test arms, proving
+//! the fast path changes nothing: counters, events, and results are
+//! byte-identical with and without it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,8 +90,9 @@ impl RepairScope {
 #[derive(Debug, Clone)]
 pub struct RepairOptions {
     /// Take the fast path when the dirty set is empty (the default). When
-    /// `false`, eligible repairs run a silent full placement instead and
-    /// assert it equals the fast reconstruction (verification mode).
+    /// `false`, eligible repairs also run the silent full placement that
+    /// debug builds always run, and assert it equals the fast
+    /// reconstruction.
     pub incremental: bool,
     /// Mutation footprint of the proposal being repaired, if known.
     /// Advisory: recorded in the `sched.repaired` event so traces attribute
@@ -183,12 +184,12 @@ pub fn repair_with(
             prior.stream_engines.clone(),
             prior.routes.clone(),
         );
-        let sched = if opts.incremental {
+        let sched = if opts.incremental && !cfg!(debug_assertions) {
             fast
         } else {
-            // Verification mode: the seeded placer must land on exactly the
-            // schedule the fast path reconstructed, or the fast path is
-            // wrong. Placement runs silently so both modes trace alike.
+            // Oracle: the seeded placer must land on exactly the schedule
+            // the fast path reconstructed, or the fast path is wrong.
+            // Placement runs silently so the check never shows in traces.
             let full = place_quiet(mdfg, sys_adg, Some(prior))?;
             assert_eq!(
                 full, fast,
@@ -428,18 +429,30 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_full_placement() {
+    fn verification_path_is_silent_and_matches_fast_path() {
+        // With `incremental: false` (and in every debug build) the full
+        // placer re-runs beside the fast path and asserts equality
+        // internally. It must also leave results, events and counters
+        // exactly as the release fast path records them.
         let (mdfg, sys, sched) = setup();
-        let fast = repair(&sched, &mdfg, &sys).unwrap().0;
-        // Verification mode re-runs the full placer and asserts equality
-        // internally; the results must also agree with the fast path.
-        let opts = RepairOptions {
-            incremental: false,
-            footprint: None,
-            scope: None,
+        let traced = |incremental| {
+            let (collector, ring) = overgen_telemetry::Collector::ring(64);
+            let _install = overgen_telemetry::install(collector.clone());
+            let opts = RepairOptions {
+                incremental,
+                ..RepairOptions::default()
+            };
+            let out = repair_with(&sched, &mdfg, &sys, &opts).unwrap();
+            (out, ring.lines(), collector.registry().snapshot_json())
         };
-        let full = repair_with(&sched, &mdfg, &sys, &opts).unwrap().0;
+        let fast = traced(true);
+        let full = traced(false);
         assert_eq!(fast, full);
+        // Debug builds check even with `incremental: true`, so also pin
+        // the fast path's own output: one event, one span, one counter.
+        assert_eq!(fast.0 .1, RepairOutcome::Intact);
+        assert_eq!(fast.1.len(), 2, "{:?}", fast.1);
+        assert_eq!(fast.2, r#"{"scheduler.repair.fast":1}"#);
     }
 
     // One test per mutation-footprint class, checking the classification

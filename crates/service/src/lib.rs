@@ -30,7 +30,9 @@
 //! for any worker count and any co-tenant schedule (DESIGN.md §13); the
 //! workspace `service_determinism` test enforces this differentially.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -475,7 +477,9 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<JobId>>) {
     }
 }
 
-/// Execute one job end to end; never panics the worker on job failure.
+/// Execute one job end to end; never panics the worker on job failure. A
+/// panic inside the job (a debug-build oracle, say) fails that job with
+/// the panic message, so `wait` returns and later jobs still run.
 fn run_job(shared: &Shared, id: JobId) {
     let (req, stop) = {
         let mut jobs = shared.jobs.lock().unwrap();
@@ -491,7 +495,10 @@ fn run_job(shared: &Shared, id: JobId) {
     };
 
     let dir = shared.root.join("jobs").join(&req.name);
-    let outcome = execute(shared, &dir, req, stop.clone());
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        execute(shared, &dir, req, stop.clone())
+    }))
+    .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(&*payload))));
 
     let jobs = shared.jobs.lock().unwrap();
     shared.finish(jobs, id, |j| match outcome {
@@ -508,6 +515,15 @@ fn run_job(shared: &Shared, id: JobId) {
             j.error = Some(msg);
         }
     });
+}
+
+/// The message a panic was raised with, when it carries one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Run the DSE under a per-job deterministic collector and persist the

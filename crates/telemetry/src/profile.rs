@@ -361,9 +361,9 @@ impl ProfileSnapshot {
         self.phase_total_us(Phase::Eval)
     }
 
-    /// Share of total eval wall time attributed to a named phase. With
-    /// serial evaluation this is ≤ 1; per-workload workers overlap, so a
-    /// parallel run can exceed it. `1.0` when nothing was evaluated.
+    /// Share of total eval wall time attributed to a named phase. Each
+    /// evaluation runs on one thread, so this is ≤ 1 unless phase timers
+    /// of one evaluation overlap. `1.0` when nothing was evaluated.
     pub fn coverage(&self) -> f64 {
         let total = self.eval_total_us();
         if total == 0 {

@@ -9,27 +9,29 @@
 #   test         debug + release test suites (tier-1 gate)
 #   fmt          cargo fmt --check
 #   clippy       cargo clippy --workspace --all-targets -D warnings
-#   determinism  byte-identical traces: seeded, threads 1 vs 4, repair on/off
+#   determinism  byte-identical traces: seeded, threads 1 vs 4, repair
+#                fast-path coverage
 #   checkpoint   resume-equivalence gates: interrupted-then-resumed runs
 #                reproduce results, stats, and traces bit-identically, and
 #                the kill-and-resume bench stays under the overhead budget
-#   bench        bench harness end to end: trace diffs across worker counts
-#                and repair modes, BENCH_repair.json speedup record
+#   bench        bench harness end to end: trace diff across worker counts,
+#                BENCH_repair.json speedup record
 #   objectives   evaluation-pipeline gates: default objective byte-identical
 #                to the pre-refactor goldens, Pareto frontier invariants,
 #                and the budgeted bench rejecting infeasible proposals with
 #                traces invariant in worker count
 #   profile      observability gates: profiler + heartbeat trace-invisible,
 #                metric names documented, golden phase table from a
-#                deterministic trace, >= 95% eval-time attribution
+#                deterministic trace, >= 95% eval-time attribution both
+#                serially and at 2 threads running 4 chains
 #   sim          simulator fast-path gates: differential oracle (pruned +
 #                cached sweep vs exhaustive) across every workload, the
-#                analytic lower-bound property, oracle mode invisible in
+#                analytic lower-bound property, oracle walk invisible in
 #                traces, and BENCH_sim.json holding >= 5x median eval
 #                speedup with winners identical to exhaustive search
 #   service      multi-tenant job-server gates: the persistent-store unit
-#                suite, the cross-tenant differential suite at 1 and 4
-#                workers, and BENCH_service.json holding >= 2x median
+#                suite, the cross-tenant differential suite (1 vs 4
+#                workers inside the suite), and BENCH_service.json holding >= 2x median
 #                warm-cache speedup with concurrent-vs-sequential job
 #                artifacts byte-identical (plus a synthetic-divergence
 #                negative test of the gate itself)
@@ -79,21 +81,21 @@ stage_determinism() {
         deterministic_trace_is_byte_identical_and_well_formed
 
     echo "== determinism: results + traces invariant in worker count =="
-    # The suite compares threads=1 vs 4 and chains at 1 vs 4 workers
-    # internally; running it under both env defaults also covers the
-    # bench-harness plumbing.
-    OVERGEN_DSE_THREADS=1 cargo test -q --test parallel_determinism
-    OVERGEN_DSE_THREADS=4 cargo test -q --test parallel_determinism
+    # The suite compares multi-chain runs at 1 vs 4 workers internally.
+    cargo test -q --test parallel_determinism
 
-    echo "== determinism: repair fast path invisible in results + traces =="
+    echo "== determinism: repair fast path covered, checked, and silent =="
+    # Debug builds check every fast-path repair against a full placement;
+    # the unit test pins that the check leaves no trace.
     cargo test -q --test repair_determinism
+    cargo test -q -p overgen-scheduler --lib verification_path_is_silent_and_matches_fast_path
     cargo test -q --test properties incremental_repair_equals_full_replacement
 }
 
 stage_checkpoint() {
     echo "== checkpoint: resume equivalence at 1 and 4 workers =="
-    OVERGEN_DSE_THREADS=1 cargo test -q --test checkpoint_resume
-    OVERGEN_DSE_THREADS=4 cargo test -q --test checkpoint_resume
+    # The suite varies the worker count internally.
+    cargo test -q --test checkpoint_resume
 
     echo "== checkpoint: kill-and-resume bench, write overhead < 5% =="
     if [ -n "${CHECK_TRACE_DIR:-}" ]; then
@@ -130,27 +132,19 @@ stage_bench() {
     fi
 
     echo "== bench: trace diff across worker counts =="
+    # Threads only run chains concurrently, so both legs run two chains.
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/t1" \
-        OVERGEN_DSE_THREADS=1 cargo run -q --release -p overgen-bench \
-        --bin fig18_incremental >/dev/null
+        OVERGEN_DSE_THREADS=1 OVERGEN_DSE_CHAINS=2 cargo run -q --release \
+        -p overgen-bench --bin fig18_incremental >/dev/null
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/t4" \
-        OVERGEN_DSE_THREADS=4 cargo run -q --release -p overgen-bench \
-        --bin fig18_incremental >/dev/null
+        OVERGEN_DSE_THREADS=4 OVERGEN_DSE_CHAINS=2 cargo run -q --release \
+        -p overgen-bench --bin fig18_incremental >/dev/null
     diff "$TRACE_TMP/t1/fig18.trace.jsonl" "$TRACE_TMP/t4/fig18.trace.jsonl" \
         || { echo "FAIL: traces differ across worker counts"; exit 1; }
 
-    echo "== bench: trace diff with repair fast path on vs off =="
-    OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/r1" \
-        OVERGEN_REPAIR=1 cargo run -q --release -p overgen-bench \
-        --bin bench_repair >/dev/null
-    OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/r0" \
-        OVERGEN_REPAIR=0 cargo run -q --release -p overgen-bench \
-        --bin bench_repair >/dev/null
-    diff "$TRACE_TMP/r1/repair.trace.jsonl" "$TRACE_TMP/r0/repair.trace.jsonl" \
-        || { echo "FAIL: traces differ with repair on vs off"; exit 1; }
-
     echo "== bench: repair speedup record =="
-    # The r1 leg above wrote the real record; assert it reports a speedup.
+    OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$TRACE_TMP/r1" \
+        cargo run -q --release -p overgen-bench --bin bench_repair >/dev/null
     grep -q '"median_speedup"' "$TRACE_TMP/r1/BENCH_repair.json" \
         || { echo "FAIL: BENCH_repair.json missing median_speedup"; exit 1; }
 
@@ -196,12 +190,13 @@ stage_objectives() {
     fi
 
     echo "== objectives: budgeted bench trace diff across worker counts =="
+    # Threads only run chains concurrently, so both legs run two chains.
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$PF_TMP/t1" \
-        OVERGEN_DSE_THREADS=1 cargo run -q --release -p overgen-bench \
-        --bin bench_pareto >/dev/null
+        OVERGEN_DSE_THREADS=1 OVERGEN_DSE_CHAINS=2 cargo run -q --release \
+        -p overgen-bench --bin bench_pareto >/dev/null
     OVERGEN_TRACE=1 OVERGEN_DSE_ITERS=10 OVERGEN_RESULTS_DIR="$PF_TMP/t4" \
-        OVERGEN_DSE_THREADS=4 cargo run -q --release -p overgen-bench \
-        --bin bench_pareto >/dev/null
+        OVERGEN_DSE_THREADS=4 OVERGEN_DSE_CHAINS=2 cargo run -q --release \
+        -p overgen-bench --bin bench_pareto >/dev/null
     diff "$PF_TMP/t1/pareto.trace.jsonl" "$PF_TMP/t4/pareto.trace.jsonl" \
         || { echo "FAIL: pareto traces differ across worker counts"; exit 1; }
 
@@ -249,13 +244,23 @@ stage_profile() {
         || { echo "FAIL: chrome export has no events"; exit 1; }
 
     echo "== profile: >= 95% of eval wall time attributed to a named phase =="
+    gate_coverage "$PROF_TMP/dse.profile.json"
+
+    echo "== profile: >= 95% attributed with chains running concurrently =="
+    OVERGEN_DSE_ITERS=300 OVERGEN_RESULTS_DIR="$PROF_TMP/par" cargo run -q --release \
+        -p overgen-bench --bin bench_dse -- --threads 2 --chains 4 >/dev/null
+    gate_coverage "$PROF_TMP/par/dse.profile.json"
+}
+
+# Fail unless the profile record at $1 attributes >= 95% of eval time.
+gate_coverage() {
     awk 'match($0, /"coverage":[0-9.]+/) {
             c = substr($0, RSTART + 11, RLENGTH - 11)
             if (c + 0 < 0.95) { print "FAIL: coverage " c " < 0.95"; exit 1 }
             found = 1
          }
          END { if (!found) { print "FAIL: coverage missing"; exit 1 } }' \
-        "$PROF_TMP/dse.profile.json"
+        "$1"
 }
 
 stage_sim() {
@@ -310,10 +315,8 @@ stage_service() {
     cargo test -q --release -p overgen-dse store::
 
     echo "== service: cross-tenant differential suite at 1 and 4 workers =="
-    # The suite compares workers=1 vs 4 internally; running it under both
-    # per-job thread defaults also covers the job-level parallelism axis.
-    OVERGEN_DSE_THREADS=1 cargo test -q --release --test service_determinism
-    OVERGEN_DSE_THREADS=4 cargo test -q --release --test service_determinism
+    # The suite compares workers=1 vs 4 internally.
+    cargo test -q --release --test service_determinism
 
     if [ -n "${CHECK_TRACE_DIR:-}" ]; then
         SVC_TMP=$CHECK_TRACE_DIR/service

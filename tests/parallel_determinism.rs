@@ -1,9 +1,8 @@
 //! The parallel DSE contract: worker threads change wall-clock only.
 //! For a fixed seed, any `threads` value must produce bit-identical
-//! results AND byte-identical deterministic-clock JSONL traces — both for
-//! the intra-proposal fan-out (threads axis) and for multi-chain
-//! annealing (chains axis, where each chain's trace is captured on its
-//! worker and replayed in chain order).
+//! results AND byte-identical deterministic-clock JSONL traces. Threads
+//! run chains concurrently (each chain's trace is captured on its worker
+//! and replayed in chain order); a proposal's evaluation is serial.
 
 use overgen_compiler::CompileOptions;
 use overgen_dse::{Dse, DseConfig, DseResult};
@@ -57,26 +56,6 @@ fn digest(r: &DseResult) -> Digest {
             .collect(),
         r.variants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
     )
-}
-
-#[test]
-fn thread_count_does_not_change_results_or_traces() {
-    let (serial, trace_serial) = traced_dse(1, 1, 20);
-    for threads in [2, 4] {
-        let (parallel, trace_parallel) = traced_dse(threads, 1, 20);
-        assert_eq!(
-            digest(&serial),
-            digest(&parallel),
-            "threads={threads} changed the result"
-        );
-        assert_eq!(serial.schedules, parallel.schedules);
-        assert_eq!(serial.stats, parallel.stats);
-        assert_eq!(
-            trace_serial, trace_parallel,
-            "threads={threads} changed the trace"
-        );
-    }
-    assert!(!trace_serial.is_empty());
 }
 
 #[test]

@@ -345,3 +345,32 @@ fn dot_names_cannot_escape_the_jobs_directory() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Regression: a panic inside a job used to kill its worker thread and
+/// leave the job `Running`, so `wait` blocked forever and, with one
+/// worker, no later job ever ran. A zero weight trips the debug assert in
+/// `weighted_geomean_ipc`, which stands in for any panicking job.
+#[cfg(debug_assertions)]
+#[test]
+fn a_panicking_job_fails_without_stalling_the_server() {
+    let root = temp_root("panic");
+    let server = JobServer::start(ServiceConfig {
+        root: root.clone(),
+        workers: 1,
+        store: false,
+    })
+    .unwrap();
+    let mut bad = job("bad", "fir", 1);
+    bad.config.weights.insert("fir".to_string(), 0.0);
+    let bad = server.submit(bad).unwrap();
+    let good = server.submit(job("good", "fir", 2)).unwrap();
+    assert_eq!(server.wait(bad), Some(JobStatus::Failed));
+    let error = server.error(bad).expect("a failed job reports its error");
+    assert!(
+        error.contains("panicked") && error.contains("non-positive weight"),
+        "unexpected error: {error}"
+    );
+    assert_eq!(server.wait(good), Some(JobStatus::Done));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}

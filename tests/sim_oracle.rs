@@ -163,6 +163,7 @@ fn traced_sim_dse(threads: usize) -> (DseResult, String) {
         iterations: 6,
         seed: 0x51A0C1,
         threads,
+        chains: 2,
         compile: CompileOptions {
             max_unroll: 2,
             ..Default::default()
@@ -198,8 +199,8 @@ fn digest(r: &DseResult) -> RunDigest {
 fn oracle_dse_traces_are_identical_across_threads() {
     // With the oracle armed and pruning on, the full sim-backed DSE must
     // stay bit-identical in results AND byte-identical in traces at 1
-    // and 4 worker threads (the sweep itself is serial by contract; the
-    // per-workload scheduling fan-out is the threaded part).
+    // and 4 worker threads (a proposal's evaluation is serial by
+    // contract; the two chains are the threaded part).
     let (serial, trace_serial) = traced_sim_dse(1);
     let (parallel, trace_parallel) = traced_sim_dse(4);
     assert_eq!(digest(&serial), digest(&parallel));
