@@ -247,6 +247,14 @@ impl Adg {
         bytes
     }
 
+    /// Total scratchpad bandwidth in bytes/cycle: the on-chip reuse
+    /// bandwidth the performance model credits to scratchpad-placed arrays.
+    pub fn spad_bw_bytes(&self) -> f64 {
+        self.nodes()
+            .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
+            .sum()
+    }
+
     /// Structural validation of the whole graph.
     ///
     /// # Errors

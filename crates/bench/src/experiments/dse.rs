@@ -28,6 +28,9 @@ pub struct DseReport {
     /// `(phase name, total µs)` for every phase that recorded samples;
     /// empty when the profiler is disabled.
     pub phase_totals: Vec<(&'static str, u64)>,
+    /// Eval-umbrella µs no named phase claims (`0` when the profiler is
+    /// off).
+    pub unattributed_us: u64,
     /// Attribution coverage (attributed / eval total); `1.0` when the
     /// profiler is off or nothing was evaluated.
     pub coverage: f64,
@@ -45,7 +48,7 @@ pub fn run() -> DseReport {
     let wall_seconds = wall.elapsed().as_secs_f64();
     let stats = r.stats;
 
-    let (phase_totals, coverage) = match current_profiler() {
+    let (phase_totals, unattributed_us, coverage) = match current_profiler() {
         Some(p) => {
             let snap = p.snapshot();
             let totals = Phase::ALL
@@ -53,9 +56,9 @@ pub fn run() -> DseReport {
                 .map(|&ph| (ph.name(), snap.phase_total_us(ph)))
                 .filter(|(_, us)| *us > 0)
                 .collect();
-            (totals, snap.coverage())
+            (totals, snap.unattributed_us(), snap.coverage())
         }
-        None => (Vec::new(), 1.0),
+        None => (Vec::new(), 0, 1.0),
     };
 
     let report = DseReport {
@@ -63,6 +66,7 @@ pub fn run() -> DseReport {
         wall_seconds,
         proposals_per_sec: stats.iterations as f64 / wall_seconds.max(1e-9),
         phase_totals,
+        unattributed_us,
         coverage,
     };
 
@@ -92,6 +96,7 @@ pub fn run() -> DseReport {
     }
     let profile = json::Obj::new()
         .f64("coverage", report.coverage)
+        .u64("unattributed_us", report.unattributed_us)
         .raw("phase_total_us", &phases.finish())
         .finish();
     let record = json::Obj::new()
@@ -126,6 +131,12 @@ pub fn render(r: &DseReport) -> String {
     for (name, us) in &r.phase_totals {
         t.row([format!("phase {name} (us)"), us.to_string()]);
     }
+    if !r.phase_totals.is_empty() {
+        t.row([
+            "phase unattributed (us)".into(),
+            r.unattributed_us.to_string(),
+        ]);
+    }
     t.row([
         "attribution coverage".into(),
         format!("{:.1}%", r.coverage * 100.0),
@@ -133,7 +144,8 @@ pub fn render(r: &DseReport) -> String {
     format!(
         "DSE engine throughput\n\n{t}\n\
          Phase totals are profiler wall time; coverage is the share of the\n\
-         eval umbrella attributed to a named phase (serial runs stay <= 1).\n\
+         eval umbrella attributed to a named phase (serial runs stay <= 1),\n\
+         and `unattributed` is the rest of the eval umbrella.\n\
          Record: results/BENCH_dse.json\n"
     )
 }

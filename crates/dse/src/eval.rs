@@ -376,12 +376,15 @@ impl<'a> EvalPipeline<'a> {
 
         drop(validate_timer);
 
-        let reg = eval_collector.registry().clone();
-        let counters = EvalCounters {
-            full_schedules: reg.counter("dse.full_schedules"),
-            repairs: reg.counter("dse.repairs"),
-            intact: reg.counter("dse.intact"),
-            repair_moved: reg.histogram("dse.repair_moved"),
+        let counters = {
+            let _capture_timer = self.phase(Phase::Capture, footprint.name());
+            let reg = eval_collector.registry();
+            EvalCounters {
+                full_schedules: reg.counter("dse.full_schedules"),
+                repairs: reg.counter("dse.repairs"),
+                intact: reg.counter("dse.intact"),
+                repair_moved: reg.histogram("dse.repair_moved"),
+            }
         };
 
         let mut schedules: BTreeMap<String, Schedule> = BTreeMap::new();
@@ -404,32 +407,42 @@ impl<'a> EvalPipeline<'a> {
                 None => complete = false,
             }
         }
+        // The probe's ADG clone is built under `validate`; free it there
+        // too, so its teardown is not left to the end of the function,
+        // after every phase timer has stopped.
+        let validate_timer = self.phase(Phase::Validate, footprint.name());
+        drop(sys_probe);
+        drop(validate_timer);
         if !complete {
             return (None, sim);
         }
 
         // Nested system DSE, memoized by (ADG, per-workload mapping).
-        let per: Vec<(&Mdfg, &Placement, f64)> = self
-            .workloads
-            .iter()
-            .map(|k| {
-                let name = k.name();
-                let variant = variants[name];
-                let m = self.mdfgs[name]
-                    .iter()
-                    .find(|v| v.variant() == variant)
-                    .expect("variant exists");
-                let placement = &schedules[name].placement;
-                let w = self.cfg.weights.get(name).copied().unwrap_or(1.0);
-                (m, placement, w)
-            })
-            .collect();
+        let variant_of = |name: &str| {
+            self.mdfgs[name]
+                .iter()
+                .find(|v| v.variant() == variants[name])
+                .expect("variant exists")
+        };
+        let weight_of = |name: &str| self.cfg.weights.get(name).copied().unwrap_or(1.0);
         let run_system = || {
             let _t = self.phase(Phase::SystemDse, footprint.name());
             let start = Instant::now();
             let (result, trace) = capture(overgen_telemetry::current().as_ref(), || {
                 match self.cfg.system.backend {
                     SystemDseBackend::Estimate => {
+                        let per: Vec<(&Mdfg, &Placement, f64)> = self
+                            .workloads
+                            .iter()
+                            .map(|k| {
+                                let name = k.name();
+                                (
+                                    variant_of(name),
+                                    &schedules[name].placement,
+                                    weight_of(name),
+                                )
+                            })
+                            .collect();
                         system_dse(adg, &per, self.model, &self.cfg.system, 1)
                     }
                     SystemDseBackend::Simulate { prune } => {
@@ -441,12 +454,7 @@ impl<'a> EvalPipeline<'a> {
                             .iter()
                             .map(|k| {
                                 let name = k.name();
-                                let m = self.mdfgs[name]
-                                    .iter()
-                                    .find(|v| v.variant() == variants[name])
-                                    .expect("variant exists");
-                                let w = self.cfg.weights.get(name).copied().unwrap_or(1.0);
-                                (m, &schedules[name], w)
+                                (variant_of(name), &schedules[name], weight_of(name))
                             })
                             .collect();
                         system_dse_sim(
@@ -461,15 +469,12 @@ impl<'a> EvalPipeline<'a> {
                 }
             });
             if let (Some(p), Some((sys, _))) = (self.profiler.as_ref(), result.as_ref()) {
-                p.record_hot(
-                    "sys-grid",
-                    &format!("tiles={}", sys.tiles),
-                    start.elapsed().as_micros() as u64,
-                );
+                p.record_hot("sys-grid", &format!("tiles={}", sys.tiles), start.elapsed());
             }
             CachedSystem { result, trace }
         };
         let sys_opt = if self.cache_enabled {
+            let key_timer = self.phase(Phase::CacheKey, footprint.name());
             let mut h = StableHasher::new();
             h.write_u64(self.cfg_hash);
             h.write_str("system");
@@ -483,6 +488,7 @@ impl<'a> EvalPipeline<'a> {
             let key = h.finish();
             // Same store-inside-miss-path contract as `evaluate` above.
             let skey = self.store_key(key);
+            drop(key_timer);
             let with_store = || match self.cfg.store.as_deref() {
                 Some(st) => st.fetch_sys(skey).unwrap_or_else(|| {
                     let c = run_system();
@@ -492,6 +498,7 @@ impl<'a> EvalPipeline<'a> {
                 None => run_system(),
             };
             let (cell, miss) = self.sys_cache.get_or_compute(key, with_store);
+            let _capture_timer = self.phase(Phase::Capture, footprint.name());
             if miss {
                 self.cache_system_miss.inc();
             } else {
@@ -502,6 +509,7 @@ impl<'a> EvalPipeline<'a> {
             c.result
         } else {
             let c = run_system();
+            let _capture_timer = self.phase(Phase::Capture, footprint.name());
             replay(&c.trace);
             c.result
         };
@@ -542,24 +550,17 @@ impl<'a> EvalPipeline<'a> {
         let _objective_timer = self.phase(Phase::Objective, footprint.name());
         let mut per_workload_ipc: BTreeMap<String, f64> = BTreeMap::new();
         let ipc = {
+            let spad_bw = adg.spad_bw_bytes();
             let ipcs: Vec<(f64, f64)> = self
                 .workloads
                 .iter()
                 .map(|k| {
-                    let s = &schedules[k.name()];
-                    let variant = variants[k.name()];
-                    let m = self.mdfgs[k.name()]
-                        .iter()
-                        .find(|v| v.variant() == variant)
-                        .expect("variant exists");
-                    let spad_bw: f64 = adg
-                        .nodes()
-                        .filter_map(|(_, n)| n.as_spad().map(|sp| f64::from(sp.bw_bytes)))
-                        .sum();
-                    let est = overgen_model::estimate_ipc(m, &sys, spad_bw, &s.placement);
-                    let w = self.cfg.weights.get(k.name()).copied().unwrap_or(1.0);
-                    per_workload_ipc.insert(k.name().to_string(), est.ipc * s.balance_penalty);
-                    (est.ipc * s.balance_penalty, w)
+                    let name = k.name();
+                    let s = &schedules[name];
+                    let est =
+                        overgen_model::estimate_ipc(variant_of(name), &sys, spad_bw, &s.placement);
+                    per_workload_ipc.insert(name.to_string(), est.ipc * s.balance_penalty);
+                    (est.ipc * s.balance_penalty, weight_of(name))
                 })
                 .collect();
             overgen_model::weighted_geomean_ipc(&ipcs)
@@ -625,6 +626,7 @@ impl<'a> EvalPipeline<'a> {
                 let repair_timer = self.phase(Phase::Repair, footprint.name());
                 let outcome = repair_with(p, v, sys_probe, &opts);
                 drop(repair_timer);
+                let capture_timer = self.phase(Phase::Capture, footprint.name());
                 match outcome {
                     Ok((s, RepairOutcome::Intact)) => {
                         counters.intact.inc();
@@ -654,6 +656,7 @@ impl<'a> EvalPipeline<'a> {
                         repair_failed_variant = Some(v.variant());
                     }
                 }
+                drop(capture_timer);
             }
         }
         for v in vs {

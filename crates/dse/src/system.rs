@@ -3,10 +3,12 @@
 //! under the FPGA resource budget; "it is relatively inexpensive to nest
 //! system DSE inside of spatial DSE".
 
-use overgen_adg::{Adg, SysAdg, SystemParams};
+use overgen_adg::{Adg, SystemParams};
 use overgen_mdfg::Mdfg;
 use overgen_model::resources::FpgaDevice;
-use overgen_model::{breakdown, estimate_ipc, weighted_geomean_ipc, Placement, ResourceModel};
+use overgen_model::{
+    estimate_ipc, scale_breakdown, tile_breakdown, weighted_geomean_ipc, Placement, ResourceModel,
+};
 use overgen_scheduler::Schedule;
 use overgen_sim::{SimBatch, SimConfig};
 use overgen_telemetry::{profile, span, FieldValue, Phase};
@@ -72,9 +74,9 @@ impl Default for SystemDseConfig {
 /// `overgen_model::estimate_ipc`. Returns `None` when not even a single
 /// tile fits the budget.
 ///
-/// The sweep is serial: one walk over a single `SysAdg` measured faster
-/// in `bench_dse` than the old per-tile-count thread fan-out at 1 and 2
-/// threads. `_threads` is kept for API stability and ignored.
+/// The sweep is serial, with one resource-model walk of `adg` for the
+/// whole grid (see [`walk_grid`]). `_threads` is kept for API stability
+/// and ignored.
 pub fn system_dse(
     adg: &Adg,
     per_workload: &[(&Mdfg, &Placement, f64)], // (mdfg, placement, weight)
@@ -83,10 +85,7 @@ pub fn system_dse(
     _threads: usize,
 ) -> Option<(SystemParams, f64)> {
     let _span = span!("dse.system", max_tiles = cfg.max_tiles);
-    let spad_bw: f64 = adg
-        .nodes()
-        .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
-        .sum();
+    let spad_bw = adg.spad_bw_bytes();
     let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(per_workload.len());
     let walk = walk_grid(adg, model, cfg, |sys, _| {
         ipcs.clear();
@@ -138,6 +137,10 @@ struct Walk {
 /// sees each feasible point together with the incumbent the fold holds at
 /// that position and returns `None` to prune the point. The walk itself
 /// emits no telemetry.
+///
+/// The accelerator ADG goes through the resource model once per walk
+/// ([`tile_breakdown`]); each grid point only rescales that tile by its
+/// tile count and adds its NoC + L2 ([`scale_breakdown`]).
 fn walk_grid(
     adg: &Adg,
     model: &dyn ResourceModel,
@@ -145,10 +148,7 @@ fn walk_grid(
     mut score: impl FnMut(&SystemParams, &Option<(SystemParams, f64)>) -> Option<f64>,
 ) -> Walk {
     let mut walk = Walk::default();
-    // One SysAdg for the whole walk: the feasibility breakdown reads the
-    // (immutable) per-tile graph plus the grid point, so the walk mutates
-    // `sys` in place instead of cloning the ADG per point.
-    let mut sys_adg = SysAdg::new(adg.clone(), SystemParams::default());
+    let tile = tile_breakdown(adg, model);
     for tiles in 1..=cfg.max_tiles {
         for &l2_banks in &cfg.l2_banks_grid {
             for &l2_kb in &cfg.l2_kb_grid {
@@ -161,8 +161,7 @@ fn walk_grid(
                         dram_channels: cfg.dram_channels,
                     };
                     walk.candidates += 1;
-                    sys_adg.sys = sys;
-                    let used = breakdown(&sys_adg, model).total();
+                    let used = scale_breakdown(&tile, &sys).total();
                     if !cfg.device.fits(&used, cfg.util_cap) {
                         walk.over_budget += 1;
                         continue;
@@ -316,7 +315,7 @@ pub fn system_dse_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overgen_adg::{mesh, MeshSpec};
+    use overgen_adg::{mesh, MeshSpec, SysAdg};
     use overgen_compiler::{lower, LowerChoices};
     use overgen_ir::{expr, DataType, KernelBuilder, Suite};
     use overgen_model::AnalyticModel;
@@ -540,6 +539,41 @@ mod tests {
             collector.registry().snapshot_json(),
             empty.registry().snapshot_json()
         );
+    }
+
+    /// `AnalyticModel`, counting its component estimates.
+    #[derive(Default)]
+    struct Counting(std::sync::atomic::AtomicU64);
+
+    impl Counting {
+        fn calls(&self) -> u64 {
+            self.0.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl ResourceModel for Counting {
+        fn component(&self, feats: &overgen_model::ComponentFeatures) -> overgen_model::Resources {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            AnalyticModel.component(feats)
+        }
+    }
+
+    #[test]
+    fn the_grid_walks_the_tile_through_the_model_once() {
+        // The default grid has 512 points; only the NoC/L2 terms depend on
+        // the point, so the sweep must cost one breakdown's component
+        // estimates, not one per point.
+        let adg = mesh(&MeshSpec::default());
+        let m = fir_mdfg(2);
+        let placement = Placement::from_prefs(&m);
+        let per = vec![(&m, &placement, 1.0)];
+        let model = Counting::default();
+        assert!(system_dse(&adg, &per, &model, &SystemDseConfig::default(), 1).is_some());
+        let in_sweep = model.calls();
+        overgen_model::breakdown(&SysAdg::new(adg, SystemParams::default()), &model);
+        let one_breakdown = model.calls() - in_sweep;
+        assert!(one_breakdown > 0);
+        assert_eq!(in_sweep, one_breakdown);
     }
 
     #[test]

@@ -115,10 +115,18 @@ pub fn l2_resources(sys: &SystemParams) -> Resources {
 }
 
 /// Estimate the full breakdown of a system-level ADG (Figure 16's stacked
-/// groups). Per-tile structures are multiplied by the tile count.
+/// groups): [`tile_breakdown`] of the accelerator, rescaled to the system
+/// by [`scale_breakdown`].
 pub fn breakdown(sys_adg: &SysAdg, model: &dyn ResourceModel) -> ResourceBreakdown {
-    let adg = &sys_adg.adg;
-    let tiles = f64::from(sys_adg.sys.tiles);
+    scale_breakdown(&tile_breakdown(&sys_adg.adg, model), &sys_adg.sys)
+}
+
+/// The per-tile half of [`breakdown`]: one walk of the accelerator ADG
+/// through the resource model, giving the pe / n/w / vp / spad / dma
+/// (dispatcher included) sums of one tile plus its one control core, and
+/// an empty `noc` group. Nothing here depends on the system parameters,
+/// so the system DSE walks the ADG once and rescales per grid point.
+pub fn tile_breakdown(adg: &Adg, model: &dyn ResourceModel) -> ResourceBreakdown {
     let mut b = ResourceBreakdown::default();
     let mut engines = 0usize;
     for (id, node) in adg.nodes() {
@@ -149,15 +157,23 @@ pub fn breakdown(sys_adg: &SysAdg, model: &dyn ResourceModel) -> ResourceBreakdo
         }
     }
     b.dma += dispatcher_resources(engines);
-    // Scale per-tile groups by tile count.
-    b.pe = b.pe * tiles;
-    b.network = b.network * tiles;
-    b.ports = b.ports * tiles;
-    b.spad = b.spad * tiles;
-    b.dma = b.dma * tiles;
-    b.core = core_resources() * tiles;
-    b.noc = noc_resources(&sys_adg.sys) + l2_resources(&sys_adg.sys);
+    b.core = core_resources();
     b
+}
+
+/// The per-system half of [`breakdown`]: multiply each per-tile group of
+/// a [`tile_breakdown`] by the tile count and add the shared NoC + L2.
+pub fn scale_breakdown(tile: &ResourceBreakdown, sys: &SystemParams) -> ResourceBreakdown {
+    let tiles = f64::from(sys.tiles);
+    ResourceBreakdown {
+        pe: tile.pe * tiles,
+        network: tile.network * tiles,
+        ports: tile.ports * tiles,
+        spad: tile.spad * tiles,
+        dma: tile.dma * tiles,
+        core: tile.core * tiles,
+        noc: noc_resources(sys) + l2_resources(sys),
+    }
 }
 
 /// Resources of one accelerator tile only (no core/NoC/L2): the DSE's
@@ -262,6 +278,67 @@ mod tests {
             indirect: false,
         }));
         assert!(big.bram > 4.0 * small.bram);
+    }
+
+    /// `breakdown(..).total()` bits (lut, ff, bram, dsp) captured before
+    /// the walk was split into `tile_breakdown` + `scale_breakdown`: the
+    /// split must keep every float op and its order.
+    #[test]
+    fn breakdown_totals_are_bit_pinned() {
+        let sys = |tiles, l2_banks, l2_kb, noc_bw_bytes| SystemParams {
+            tiles,
+            l2_banks,
+            l2_kb,
+            noc_bw_bytes,
+            dram_channels: 1,
+        };
+        let cases = [
+            (
+                MeshSpec::default(),
+                SystemParams::default(),
+                [
+                    0x40f3_72f0_0000_0000u64,
+                    0x40f0_8229_9999_999a,
+                    0x4061_a000_0000_0000,
+                    0x4028_0000_0000_0000,
+                ],
+            ),
+            (
+                MeshSpec::default(),
+                sys(8, 16, 2048, 64),
+                [
+                    0x4122_6569_c406_8c44,
+                    0x411d_668c_f739_bf78,
+                    0x4084_0000_0000_0000,
+                    0x4058_0000_0000_0000,
+                ],
+            ),
+            (
+                MeshSpec::general(),
+                sys(4, 4, 512, 32),
+                [
+                    0x4132_a9a4_0000_0000,
+                    0x4131_3535_9999_999b,
+                    0x4070_2000_0000_0000,
+                    0x40b4_5000_0000_0000,
+                ],
+            ),
+            (
+                MeshSpec::general(),
+                sys(3, 2, 1024, 64),
+                [
+                    0x412b_ee90_9010_48c1,
+                    0x4129_be19_ae6e_8ac9,
+                    0x4074_e000_0000_0000,
+                    0x40ae_7800_0000_0000,
+                ],
+            ),
+        ];
+        for (spec, params, want) in cases {
+            let t = breakdown(&SysAdg::new(mesh(&spec), params), &AnalyticModel).total();
+            let got = [t.lut, t.ff, t.bram, t.dsp].map(f64::to_bits);
+            assert_eq!(got, want, "{params:?}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod time;
 pub use dataset::{generate, Dataset, MlpResourceModel};
 pub use estimate::{
     accelerator_resources, breakdown, core_resources, dispatcher_resources, engine_resources,
-    l2_resources, noc_resources, AnalyticModel, ResourceModel,
+    l2_resources, noc_resources, scale_breakdown, tile_breakdown, AnalyticModel, ResourceModel,
 };
 pub use mlp::{Mlp, TrainConfig, TrainReport};
 pub use perf::{estimate_ipc, weighted_geomean_ipc, Level, PerfEstimate, Placement};

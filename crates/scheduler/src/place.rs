@@ -227,11 +227,7 @@ pub(crate) fn score_mapping(
             }
         }
     }
-    let spad_bw: f64 = adg
-        .nodes()
-        .filter_map(|(_, n)| n.as_spad().map(|s| f64::from(s.bw_bytes)))
-        .sum();
-    let mut est = estimate_ipc(mdfg, &sys.sys, spad_bw, &placement);
+    let mut est = estimate_ipc(mdfg, &sys.sys, adg.spad_bw_bytes(), &placement);
     est.ipc *= penalty;
     est.per_tile_ipc *= penalty;
 

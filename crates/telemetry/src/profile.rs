@@ -1,11 +1,13 @@
 //! Phase-level wall-time attribution for DSE runs.
 //!
-//! A [`Profiler`] aggregates the wall-clock microseconds each pipeline
-//! phase spends — validate / compile / schedule / repair / system-DSE /
-//! simulate / objective, keyed by the proposal's
+//! A [`Profiler`] aggregates the wall-clock time each pipeline phase
+//! spends — validate / compile / schedule / repair / system-DSE /
+//! cache-key / capture / simulate / objective, keyed by the proposal's
 //! `ScheduleFootprint` class — into per-`(phase, class)` [`Histogram`]s,
 //! plus "hot key" tables (time per workload, per system-DSE grid point)
-//! for top-k reporting. The end-of-run [`ProfileSnapshot`] renders to the
+//! for top-k reporting. Samples accumulate in nanoseconds and are reported
+//! in (rounded) microseconds, so many short samples do not each lose up to
+//! a microsecond. The end-of-run [`ProfileSnapshot`] renders to the
 //! `profile.json` schema documented in DESIGN.md §11.
 //!
 //! The profiler is deliberately **not** part of the [`Collector`] world:
@@ -26,7 +28,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::json::Obj;
 use crate::metrics::Histogram;
@@ -40,7 +42,8 @@ use crate::metrics::Histogram;
 /// gate checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// System-ADG validation plus the objective's hard admissibility gate.
+    /// System-ADG validation plus the objective's hard admissibility gate,
+    /// and freeing the validation probe once scheduling is done.
     Validate,
     /// Up-front mDFG variant generation (once per run, outside `Eval`).
     Compile,
@@ -50,6 +53,13 @@ pub enum Phase {
     Repair,
     /// The nested exhaustive system-parameter sweep.
     SystemDse,
+    /// Hashing the system-DSE memo and store keys (ADG fingerprint plus
+    /// every workload's variant and scratchpad placement).
+    CacheKey,
+    /// Telemetry bookkeeping inside an evaluation: binding the capture
+    /// registry's counter handles, emitting the per-workload repair
+    /// events, and replaying the (memoized) system-DSE trace.
+    Capture,
     /// Cycle-level simulation (bench/overlay execution, outside `Eval`).
     Simulate,
     /// Closed-form analytic lower-bound pruning in the simulator-backed
@@ -66,12 +76,14 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical report order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 12] = [
         Phase::Validate,
         Phase::Compile,
         Phase::Schedule,
         Phase::Repair,
         Phase::SystemDse,
+        Phase::CacheKey,
+        Phase::Capture,
         Phase::Simulate,
         Phase::Analytic,
         Phase::Place,
@@ -81,11 +93,13 @@ impl Phase {
 
     /// Phases nested inside [`Phase::Eval`]; their sum is the "attributed"
     /// share of total evaluation time.
-    pub const EVAL_INNER: [Phase; 6] = [
+    pub const EVAL_INNER: [Phase; 8] = [
         Phase::Validate,
         Phase::Schedule,
         Phase::Repair,
         Phase::SystemDse,
+        Phase::CacheKey,
+        Phase::Capture,
         Phase::Place,
         Phase::Objective,
     ];
@@ -98,6 +112,8 @@ impl Phase {
             Phase::Schedule => "schedule",
             Phase::Repair => "repair",
             Phase::SystemDse => "system-dse",
+            Phase::CacheKey => "cache-key",
+            Phase::Capture => "capture",
             Phase::Simulate => "simulate",
             Phase::Analytic => "analytic",
             Phase::Place => "place",
@@ -115,16 +131,27 @@ pub const NO_CLASS: &str = "-";
 #[derive(Debug, Default, Clone, Copy)]
 struct HotAgg {
     count: u64,
-    total_us: u64,
+    total_ns: u64,
+}
+
+/// Whole nanoseconds of `d`, saturating at `u64::MAX`.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Nanoseconds to microseconds, rounded to nearest.
+fn ns_to_us(ns: u64) -> u64 {
+    ns / 1_000 + u64::from(ns % 1_000 >= 500)
 }
 
 /// Aggregates phase wall times. Cheap to share (`Arc`) and update from
 /// worker threads: one mutex-guarded map lookup plus relaxed atomic
-/// histogram ops per sample.
+/// histogram ops per sample. Histograms hold nanoseconds.
 #[derive(Debug, Default)]
 pub struct Profiler {
     phases: Mutex<BTreeMap<(Phase, &'static str), Histogram>>,
-    hot: Mutex<BTreeMap<(&'static str, String), HotAgg>>,
+    /// Hot-key aggregates by dimension, then key.
+    hot: Mutex<BTreeMap<&'static str, BTreeMap<String, HotAgg>>>,
 }
 
 impl Profiler {
@@ -133,41 +160,53 @@ impl Profiler {
         Arc::new(Profiler::default())
     }
 
-    /// Record one phase sample of `micros` wall microseconds.
-    pub fn record(&self, phase: Phase, class: &'static str, micros: u64) {
-        let hist = {
-            let mut m = self.phases.lock().unwrap();
-            m.entry((phase, class)).or_default().clone()
-        };
-        hist.record(micros);
+    /// The shared histogram of one `(phase, class)`, created on first use.
+    fn histogram(&self, phase: Phase, class: &'static str) -> Histogram {
+        let mut m = self
+            .phases
+            .lock()
+            .expect("no thread panics while holding the phase map");
+        m.entry((phase, class)).or_default().clone()
     }
 
-    /// Fold `micros` into the hot-key table `dim` (e.g. `"workload"`,
+    /// Record one phase sample of `elapsed` wall time.
+    pub fn record(&self, phase: Phase, class: &'static str, elapsed: Duration) {
+        self.histogram(phase, class).record(nanos(elapsed));
+    }
+
+    /// Fold `elapsed` into the hot-key table `dim` (e.g. `"workload"`,
     /// `"sys-grid"`) under `key`.
-    pub fn record_hot(&self, dim: &'static str, key: &str, micros: u64) {
+    pub fn record_hot(&self, dim: &'static str, key: &str, elapsed: Duration) {
         let mut m = self.hot.lock().unwrap();
-        let agg = m.entry((dim, key.to_string())).or_default();
+        let keys = m.entry(dim).or_default();
+        let agg = match keys.get_mut(key) {
+            Some(agg) => agg,
+            None => keys.entry(key.to_string()).or_default(),
+        };
         agg.count += 1;
-        agg.total_us += micros;
+        agg.total_ns = agg.total_ns.saturating_add(nanos(elapsed));
     }
 
     /// Start timing a phase; the sample is recorded when the returned
     /// guard drops.
-    pub fn phase(self: &Arc<Self>, phase: Phase, class: &'static str) -> PhaseTimer {
+    ///
+    /// The clock starts before the histogram lookup, so the timer's own
+    /// bookkeeping is charged to the phase it times; the drop only adds
+    /// into the resolved histogram.
+    pub fn phase(&self, phase: Phase, class: &'static str) -> PhaseTimer {
+        let start = Instant::now();
         PhaseTimer {
-            prof: Arc::clone(self),
-            phase,
-            class,
-            start: Instant::now(),
+            hist: self.histogram(phase, class),
+            start,
         }
     }
 
     /// Start timing a hot-key entry; recorded under (`dim`, `key`) on drop.
-    pub fn hot_timer(self: &Arc<Self>, dim: &'static str, key: &str) -> HotTimer {
+    pub fn hot_timer<'a>(&'a self, dim: &'static str, key: &'a str) -> HotTimer<'a> {
         HotTimer {
-            prof: Arc::clone(self),
+            prof: self,
             dim,
-            key: key.to_string(),
+            key,
             start: Instant::now(),
         }
     }
@@ -181,23 +220,26 @@ impl Profiler {
                     phase: *phase,
                     class,
                     count: h.count(),
-                    total_us: h.sum(),
-                    mean_us: h.mean(),
-                    p50_us: h.percentile(50.0),
-                    p95_us: h.percentile(95.0),
-                    p99_us: h.percentile(99.0),
-                    max_us: h.max(),
+                    total_ns: h.sum(),
+                    total_us: ns_to_us(h.sum()),
+                    mean_us: h.mean() / 1_000.0,
+                    p50_us: ns_to_us(h.percentile(50.0)),
+                    p95_us: ns_to_us(h.percentile(95.0)),
+                    p99_us: ns_to_us(h.percentile(99.0)),
+                    max_us: ns_to_us(h.max()),
                 })
                 .collect()
         };
         let hot = {
             let m = self.hot.lock().unwrap();
             m.iter()
-                .map(|((dim, key), agg)| HotRow {
-                    dim,
-                    key: key.clone(),
-                    count: agg.count,
-                    total_us: agg.total_us,
+                .flat_map(|(dim, keys)| {
+                    keys.iter().map(|(key, agg)| HotRow {
+                        dim,
+                        key: key.clone(),
+                        count: agg.count,
+                        total_us: ns_to_us(agg.total_ns),
+                    })
                 })
                 .collect()
         };
@@ -205,35 +247,32 @@ impl Profiler {
     }
 }
 
-/// RAII guard from [`Profiler::phase`]; records elapsed µs on drop.
+/// RAII guard from [`Profiler::phase`]; records the elapsed time on drop.
 #[must_use = "a phase sample is recorded when its timer drops"]
 pub struct PhaseTimer {
-    prof: Arc<Profiler>,
-    phase: Phase,
-    class: &'static str,
+    hist: Histogram,
     start: Instant,
 }
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
-        let us = self.start.elapsed().as_micros() as u64;
-        self.prof.record(self.phase, self.class, us);
+        self.hist.record(nanos(self.start.elapsed()));
     }
 }
 
 /// RAII guard from [`Profiler::hot_timer`].
 #[must_use = "a hot-key sample is recorded when its timer drops"]
-pub struct HotTimer {
-    prof: Arc<Profiler>,
+pub struct HotTimer<'a> {
+    prof: &'a Profiler,
     dim: &'static str,
-    key: String,
+    key: &'a str,
     start: Instant,
 }
 
-impl Drop for HotTimer {
+impl Drop for HotTimer<'_> {
     fn drop(&mut self) {
-        let us = self.start.elapsed().as_micros() as u64;
-        self.prof.record_hot(self.dim, &self.key, us);
+        self.prof
+            .record_hot(self.dim, self.key, self.start.elapsed());
     }
 }
 
@@ -280,6 +319,8 @@ pub struct PhaseRow {
     pub phase: Phase,
     pub class: &'static str,
     pub count: u64,
+    /// Exact sum of the samples; `total_us` is it rounded.
+    pub total_ns: u64,
     pub total_us: u64,
     pub mean_us: f64,
     pub p50_us: u64,
@@ -339,21 +380,29 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Total microseconds recorded for one phase across all classes.
-    pub fn phase_total_us(&self, phase: Phase) -> u64 {
+    fn phase_total_ns(&self, phase: Phase) -> u64 {
         self.rows
             .iter()
             .filter(|r| r.phase == phase)
-            .map(|r| r.total_us)
+            .map(|r| r.total_ns)
             .sum()
+    }
+
+    fn attributed_ns(&self) -> u64 {
+        Phase::EVAL_INNER
+            .iter()
+            .map(|&p| self.phase_total_ns(p))
+            .sum()
+    }
+
+    /// Total microseconds recorded for one phase across all classes.
+    pub fn phase_total_us(&self, phase: Phase) -> u64 {
+        ns_to_us(self.phase_total_ns(phase))
     }
 
     /// Microseconds attributed to a named phase inside evaluations.
     pub fn attributed_us(&self) -> u64 {
-        Phase::EVAL_INNER
-            .iter()
-            .map(|&p| self.phase_total_us(p))
-            .sum()
+        ns_to_us(self.attributed_ns())
     }
 
     /// Total umbrella evaluation microseconds (uncached evaluations only).
@@ -361,15 +410,22 @@ impl ProfileSnapshot {
         self.phase_total_us(Phase::Eval)
     }
 
+    /// Umbrella evaluation microseconds no named phase claims:
+    /// `eval_total_us - attributed_us`, or 0 if overlapping phase timers
+    /// push the attributed time past the total.
+    pub fn unattributed_us(&self) -> u64 {
+        self.eval_total_us().saturating_sub(self.attributed_us())
+    }
+
     /// Share of total eval wall time attributed to a named phase. Each
     /// evaluation runs on one thread, so this is ≤ 1 unless phase timers
     /// of one evaluation overlap. `1.0` when nothing was evaluated.
     pub fn coverage(&self) -> f64 {
-        let total = self.eval_total_us();
+        let total = self.phase_total_ns(Phase::Eval);
         if total == 0 {
             1.0
         } else {
-            self.attributed_us() as f64 / total as f64
+            self.attributed_ns() as f64 / total as f64
         }
     }
 
@@ -384,31 +440,49 @@ impl ProfileSnapshot {
     /// Render the `overgen.profile/1` JSON document (DESIGN.md §11).
     pub fn render_json(&self, experiment: &str, cache: &CacheStats, top_k: usize) -> String {
         let eval_total = self.eval_total_us();
-        let phases = arr(self.rows.iter().map(|r| {
-            let share = if eval_total > 0 {
-                r.total_us as f64 / eval_total as f64
+        let share = |us: u64| {
+            if eval_total > 0 {
+                us as f64 / eval_total as f64
             } else {
                 0.0
-            };
-            let adjust = match r.phase {
-                Phase::SystemDse => cache.system_factor(),
-                Phase::Compile | Phase::Simulate => 1.0,
-                _ => cache.eval_factor(),
-            };
-            Obj::new()
-                .str("phase", r.phase.name())
-                .str("class", r.class)
-                .u64("count", r.count)
-                .u64("total_us", r.total_us)
-                .f64("mean_us", r.mean_us)
-                .u64("p50_us", r.p50_us)
-                .u64("p95_us", r.p95_us)
-                .u64("p99_us", r.p99_us)
-                .u64("max_us", r.max_us)
-                .f64("share", share)
-                .f64("cache_adjusted_us", r.total_us as f64 * adjust)
-                .finish()
-        }));
+            }
+        };
+        // The unattributed remainder of the eval umbrella, as a derived
+        // row after the measured ones.
+        let unattributed = Obj::new()
+            .str("phase", "unattributed")
+            .str("class", NO_CLASS)
+            .u64("total_us", self.unattributed_us())
+            .f64("share", share(self.unattributed_us()))
+            .f64(
+                "cache_adjusted_us",
+                self.unattributed_us() as f64 * cache.eval_factor(),
+            )
+            .finish();
+        let phases = arr(self
+            .rows
+            .iter()
+            .map(|r| {
+                let adjust = match r.phase {
+                    Phase::SystemDse => cache.system_factor(),
+                    Phase::Compile | Phase::Simulate => 1.0,
+                    _ => cache.eval_factor(),
+                };
+                Obj::new()
+                    .str("phase", r.phase.name())
+                    .str("class", r.class)
+                    .u64("count", r.count)
+                    .u64("total_us", r.total_us)
+                    .f64("mean_us", r.mean_us)
+                    .u64("p50_us", r.p50_us)
+                    .u64("p95_us", r.p95_us)
+                    .u64("p99_us", r.p99_us)
+                    .u64("max_us", r.max_us)
+                    .f64("share", share(r.total_us))
+                    .f64("cache_adjusted_us", r.total_us as f64 * adjust)
+                    .finish()
+            })
+            .chain([unattributed]));
         let hot_dim = |dim: &str| {
             arr(self.top_hot(dim, top_k).iter().map(|r| {
                 Obj::new()
@@ -434,6 +508,7 @@ impl ProfileSnapshot {
             .str("clock", "wall_us")
             .u64("eval_total_us", eval_total)
             .u64("attributed_us", self.attributed_us())
+            .u64("unattributed_us", self.unattributed_us())
             .f64("coverage", self.coverage())
             .raw("cache", &cache_obj)
             .raw("phases", &phases)
@@ -459,14 +534,18 @@ mod tests {
     use super::*;
     use crate::json;
 
+    fn us(micros: u64) -> Duration {
+        Duration::from_micros(micros)
+    }
+
     #[test]
     fn phase_timer_records_into_the_right_bucket() {
         let p = Profiler::new();
         {
             let _t = p.phase(Phase::Repair, "additive");
         }
-        p.record(Phase::Repair, "additive", 100);
-        p.record(Phase::Eval, "additive", 400);
+        p.record(Phase::Repair, "additive", us(100));
+        p.record(Phase::Eval, "additive", us(400));
         let snap = p.snapshot();
         let row = snap
             .rows
@@ -481,12 +560,12 @@ mod tests {
     #[test]
     fn coverage_is_attributed_over_eval_total() {
         let p = Profiler::new();
-        p.record(Phase::Eval, NO_CLASS, 1000);
-        p.record(Phase::Schedule, NO_CLASS, 600);
-        p.record(Phase::SystemDse, NO_CLASS, 390);
+        p.record(Phase::Eval, NO_CLASS, us(1000));
+        p.record(Phase::Schedule, NO_CLASS, us(600));
+        p.record(Phase::SystemDse, NO_CLASS, us(390));
         // Compile and simulate sit outside the eval umbrella.
-        p.record(Phase::Compile, NO_CLASS, 5000);
-        p.record(Phase::Simulate, NO_CLASS, 5000);
+        p.record(Phase::Compile, NO_CLASS, us(5000));
+        p.record(Phase::Simulate, NO_CLASS, us(5000));
         let snap = p.snapshot();
         assert_eq!(snap.attributed_us(), 990);
         assert!((snap.coverage() - 0.99).abs() < 1e-12);
@@ -495,13 +574,64 @@ mod tests {
     }
 
     #[test]
+    fn short_samples_keep_their_fractional_microseconds() {
+        // 1000 samples of 1.6 µs are 1.6 ms; flooring each sample to whole
+        // microseconds would report 1.0 ms.
+        let p = Profiler::new();
+        for _ in 0..1000 {
+            p.record(Phase::Repair, NO_CLASS, Duration::from_nanos(1_600));
+            p.record_hot("workload", "fir", Duration::from_nanos(1_600));
+        }
+        let snap = p.snapshot();
+        assert_eq!(snap.phase_total_us(Phase::Repair), 1_600);
+        assert_eq!(snap.top_hot("workload", 1)[0].total_us, 1_600);
+        let row = &snap.rows[0];
+        assert_eq!(row.total_ns, 1_600_000);
+        assert!((row.mean_us - 1.6).abs() < 1e-12);
+        assert_eq!(row.max_us, 2, "1.6 µs rounds to 2, not down to 1");
+    }
+
+    #[test]
+    fn unattributed_completes_the_eval_total() {
+        let p = Profiler::new();
+        p.record(Phase::Eval, "pure", Duration::from_nanos(1_000_400));
+        p.record(Phase::Schedule, "pure", Duration::from_nanos(600_300));
+        p.record(Phase::CacheKey, "pure", Duration::from_nanos(10_200));
+        p.record(Phase::Capture, "pure", Duration::from_nanos(5_100));
+        p.record(Phase::Compile, NO_CLASS, us(9_000));
+        let snap = p.snapshot();
+        assert_eq!(snap.eval_total_us(), 1_000);
+        assert_eq!(snap.attributed_us(), 616);
+        assert_eq!(snap.unattributed_us(), 384);
+        assert_eq!(
+            snap.attributed_us() + snap.unattributed_us(),
+            snap.eval_total_us()
+        );
+        let doc = snap.render_json("unit", &CacheStats::default(), 5);
+        let v = json::parse(&doc).expect("profile.json parses");
+        assert_eq!(v.get("unattributed_us").unwrap().as_u64(), Some(384));
+        let phases = match v.get("phases").unwrap() {
+            json::Value::Arr(a) => a,
+            other => panic!("phases not an array: {other:?}"),
+        };
+        let row = phases.last().expect("unattributed row");
+        assert_eq!(row.get("phase").unwrap().as_str(), Some("unattributed"));
+        assert_eq!(row.get("total_us").unwrap().as_u64(), Some(384));
+        assert_eq!(row.get("share").unwrap().as_f64(), Some(0.384));
+        // Overlapping timers can claim more than the umbrella; the
+        // remainder floors at zero instead of wrapping.
+        p.record(Phase::Schedule, "pure", us(2_000));
+        assert_eq!(p.snapshot().unattributed_us(), 0);
+    }
+
+    #[test]
     fn hot_keys_rank_by_total_time() {
         let p = Profiler::new();
-        p.record_hot("workload", "gemm", 50);
-        p.record_hot("workload", "gemm", 50);
-        p.record_hot("workload", "fir", 30);
-        p.record_hot("workload", "spmv", 200);
-        p.record_hot("sys-grid", "tiles=4", 10);
+        p.record_hot("workload", "gemm", us(50));
+        p.record_hot("workload", "gemm", us(50));
+        p.record_hot("workload", "fir", us(30));
+        p.record_hot("workload", "spmv", us(200));
+        p.record_hot("sys-grid", "tiles=4", us(10));
         let snap = p.snapshot();
         let top: Vec<&str> = snap
             .top_hot("workload", 2)
@@ -533,9 +663,9 @@ mod tests {
     #[test]
     fn render_json_carries_schema_and_cache_adjustment() {
         let p = Profiler::new();
-        p.record(Phase::Eval, "pure", 1000);
-        p.record(Phase::Schedule, "pure", 980);
-        p.record_hot("workload", "gemm", 980);
+        p.record(Phase::Eval, "pure", us(1000));
+        p.record(Phase::Schedule, "pure", us(980));
+        p.record_hot("workload", "gemm", us(980));
         let cache = CacheStats {
             eval_hits: 3,
             eval_misses: 1,
